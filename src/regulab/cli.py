@@ -17,7 +17,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -116,13 +115,6 @@ def parse_grid(text: str) -> list:
     return [round(a + k * step, 12) for k in range(n + 1) if a + k * step <= b + 1e-12]
 
 
-def _grid_map(fn, grid, threads):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, grid))
-    return [fn(g) for g in grid]
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -179,14 +171,13 @@ _SEC42_GRID = [4.0, 5.0, 8.0, 12.0]
 def cmd_verify(args) -> Report:
     tol = args.tol
     rep = Report("verify", {"target": args.target, "grid": args.grid, "tol": tol})
-    threads = args.threads
 
     if args.target == "bz1":
         grid = parse_grid(args.grid) if args.grid else [0.5, 1.0, 2.0, 3.0, 3.5]
-        rep.records = _grid_map(lambda a: _bz1_record(a, tol), grid, threads)
+        rep.records = [_bz1_record(a, tol) for a in grid]
     elif args.target == "bz2":
         grid = parse_grid(args.grid) if args.grid else [4.0, 5.0, 6.5, 10.0]
-        rep.records = _grid_map(lambda a: _bz2_record(a, tol), grid, threads)
+        rep.records = [_bz2_record(a, tol) for a in grid]
     elif args.target == "lemma32":
         ptol = Tolerance(absolute=min(tol, 1e-8))
         for which, grid in _LEMMA_GRIDS.items():
@@ -223,7 +214,7 @@ def cmd_verify(args) -> Report:
             return Record(f"ratio@alpha={alpha}", m / lp, float(ratio_expected),
                           abs(m / lp - float(ratio_expected)), rtol)
 
-        rep.records = _grid_map(row, sorted(TABLE_ONE), threads)
+        rep.records = [row(a) for a in sorted(TABLE_ONE)]
     elif args.target == "diamonds":
         for chain in ("S", "QR"):
             report = derive_equivalence(chain)
@@ -283,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=1e-6)
         p.add_argument("--json", action="store_true")
         p.add_argument("--csv", action="store_true")
-        p.add_argument("--threads", type=int, default=None)
 
     m = sub.add_parser("mahler", help="Mahler measure of one family member")
     m.add_argument("--family", required=True, choices=list("PSQRpsqr"))

@@ -112,11 +112,6 @@ class CurvePoint:
 O = CurvePoint.at_infinity()
 
 
-def curve_validate(c: WeierstrassCurve):
-    """Return (discriminant, j-invariant); construction already rejects disc = 0."""
-    return c.discriminant(), c.j_invariant()
-
-
 def negate(c: WeierstrassCurve, p: CurvePoint) -> CurvePoint:
     if p.infinity:
         return p
@@ -387,11 +382,8 @@ def _log_complex(c, lat, x, y):
 def reduce_mod_lattice(u: complex, lat: PeriodLattice) -> complex:
     """Representative of u with lattice coordinates in [0, 1)."""
     u = complex(u)
-    # solve u = a*omega1 + b*omega2 over R
+    # solve u = a*omega1 + b*omega2 over R as a 2x2 system on (Re, Im)
     w1, w2 = lat.omega1, lat.omega2
-    det = (w1 * w2.conjugate()).imag
-    b = (w1 * u.conjugate()).imag / -det if det != 0 else 0.0
-    # direct 2x2 solve on (Re, Im)
     m = np.array([[w1.real, w2.real], [w1.imag, w2.imag]])
     a, b = np.linalg.solve(m, [u.real, u.imag])
     a -= math.floor(a + 1e-12)

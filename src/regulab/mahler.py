@@ -7,9 +7,11 @@ The main route is Jensen reduction: for P = A(x) y^2 + B(x) y + C(x),
 with the branch-label-free integrand (no choice of "the large root" is
 ever needed).  Quadrature panels are split at torus zeros of A, at
 angles where a root crosses the unit circle, and at discriminant
-collisions, all found by scan + refinement.  A slower direct
-two-dimensional torus quadrature cross-validates the result without
-ever solving for roots.
+collisions, all taken from the exact unit-circle roots of polynomials
+in x (A, B^2 - 4AC, and the resultant of P with its reciprocal).  A
+slower direct two-dimensional torus quadrature cross-validates the
+result without ever solving for y-roots; its outer rule uses the same
+panels.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.integrate
+from numpy.polynomial import polynomial as npp
 
 from .numerics import (
     DegenerateInputError,
@@ -135,111 +138,62 @@ def _positive_log_sum(p: BivariatePoly, theta: float) -> float:
     return total
 
 
-def _leading_torus_zeros(p: BivariatePoly):
-    """Angles in (0, pi) where P*(e^{i theta}) = 0 (plus pi if x=-1 is a zero)."""
-    lead = list(reversed(p.leading_y_coeff))
-    out = []
-    if len(lead) > 1:
-        for r in np.roots(lead):
-            if abs(abs(r) - 1.0) < 1e-9:
-                th = math.atan2(r.imag, r.real) % TWO_PI
-                if 0.0 < th <= math.pi:
-                    out.append(th)
-    return out
+# np.roots resolves a double root only to about sqrt(eps) ~ 1e-8, so a root
+# this close to |x| = 1 counts as on it, and kinks this close together count
+# as one; a boundary next to a near-kink is harmless.
+ON_CIRCLE = 1e-6
 
 
-def _scan_split_angles(p: BivariatePoly, n: int = 1024):
-    """Unit-circle crossings of the roots and discriminant collisions in (0, pi)."""
-    thetas = np.linspace(0.0, math.pi, n + 1)
-    cross = np.empty(n + 1)
-    disc = np.empty(n + 1)
-    for k, th in enumerate(thetas):
-        x = cmath.exp(1j * th)
-        a, b, c = p.coeffs_at(x)
-        disc[k] = abs(b * b - 4.0 * a * c)
-        try:
-            roots = _torus_roots(p, th)
-        except DegenerateInputError:
-            cross[k] = math.nan
-            continue
-        val = 1.0
-        for r in roots:
-            val *= abs(r) - 1.0
-        cross[k] = val
-    out = []
-
-    def cross_at(th):
-        val = 1.0
-        for r in _torus_roots(p, th):
-            val *= abs(r) - 1.0
-        return val
-
-    # Where both roots sit exactly on the unit circle (the zero locus can
-    # contain a whole torus arc) cross vanishes identically; the kink sits
-    # at the arc boundary, not at every sample.  Elsewhere a sign change
-    # marks a root crossing the circle.
-    on_circle = 1e-12
-    for k in range(n):
-        v0, v1 = cross[k], cross[k + 1]
-        if math.isnan(v0) or math.isnan(v1):
-            continue
-        flat0, flat1 = abs(v0) < on_circle, abs(v1) < on_circle
-        if flat0 and flat1:
-            continue
-        lo, hi = thetas[k], thetas[k + 1]
-        if flat0 or flat1:
-            # boundary of an on-circle arc: bisect on the flatness predicate
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if (abs(cross_at(mid)) < on_circle) == flat0:
-                    lo = mid
-                else:
-                    hi = mid
-            out.append(0.5 * (lo + hi))
-        elif v0 * v1 < 0.0:
-            flo = v0
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                fm = cross_at(mid)
-                if flo * fm <= 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            out.append(0.5 * (lo + hi))
-    # local minima of |discriminant|: possible branch collisions (sqrt kinks)
-    scale = max(disc.max(), 1.0)
-    for k in range(1, n):
-        if disc[k] <= disc[k - 1] and disc[k] <= disc[k + 1] and disc[k] < 1e-2 * scale:
-            lo, hi = thetas[k - 1], thetas[k + 1]
-            for _ in range(120):
-                m1 = lo + (hi - lo) * 0.382
-                m2 = lo + (hi - lo) * 0.618
-                d1 = abs(_disc_at(p, m1))
-                d2 = abs(_disc_at(p, m2))
-                if d1 < d2:
-                    hi = m2
-                else:
-                    lo = m1
-            out.append(0.5 * (lo + hi))
-    return out
+def _unit_circle_angles(coeffs):
+    """Angles in (0, pi] of the unit-circle roots of a polynomial (ascending coefficients)."""
+    return [float(np.angle(r)) for r in np.roots(np.asarray(coeffs)[::-1])
+            if abs(abs(r) - 1.0) < ON_CIRCLE and np.angle(r) > 0.0]
 
 
-def _disc_at(p: BivariatePoly, theta: float):
-    a, b, c = p.coeffs_at(cmath.exp(1j * theta))
-    return b * b - 4.0 * a * c
+def _padded_rows(p: BivariatePoly):
+    d = max(len(r) for r in p.rows)
+    return [np.array(r + [0.0] * (d - len(r))) for r in p.rows]
+
+
+def _toric_resultant(p: BivariatePoly):
+    """y-resultant of P and x^d y^n P(1/x, 1/y), ascending in x; [] if identically 0.
+
+    For real coefficients its unit-circle roots contain every x on |x| = 1
+    where a root y of P crosses |y| = 1.  A self-inversive P (every family
+    here) is its own reciprocal, and the resultant vanishes exactly.
+    """
+    f = _padded_rows(p)
+    g = [r[::-1] for r in reversed(f)]
+
+    def det(i, j):  # f_i g_j - g_i f_j: exactly 0 when g == +-f
+        return npp.polysub(npp.polymul(f[i], g[j]), npp.polymul(g[i], f[j]))
+
+    if p.y_degree == 1:
+        res = det(1, 0)
+    elif p.y_degree == 2:
+        res = npp.polysub(npp.polymul(det(2, 0), det(2, 0)),
+                          npp.polymul(det(2, 1), det(1, 0)))
+    else:
+        return []
+    return np.trim_zeros(res, "b")
 
 
 def split_angles(p: BivariatePoly):
-    """Sorted panel boundaries on [0, pi] for the Jensen-path quadrature."""
-    pts = {0.0, math.pi}
-    pts.update(_leading_torus_zeros(p))
-    pts.update(_scan_split_angles(p))
-    srt = sorted(t for t in pts if -1e-12 <= t <= math.pi + 1e-12)
-    merged = [srt[0]]
-    for t in srt[1:]:
-        if t - merged[-1] > 1e-9:
-            merged.append(t)
-    return merged
+    """Sorted panel boundaries on [0, pi]: 0, pi and every kink in theta.
+
+    The kinks are the unit-circle roots of the leading coefficient A (a
+    root y goes to infinity), of the discriminant B^2 - 4AC (two roots
+    collide) and of the toric resultant (a root crosses |y| = 1).
+    """
+    kinks = _unit_circle_angles(p.leading_y_coeff) + _unit_circle_angles(_toric_resultant(p))
+    if p.y_degree == 2:
+        c, b, a = _padded_rows(p)
+        kinks += _unit_circle_angles(npp.polysub(npp.polymul(b, b), 4.0 * npp.polymul(a, c)))
+    pts = [0.0]
+    for t in sorted(kinks):
+        if t - pts[-1] > ON_CIRCLE and t < math.pi - ON_CIRCLE:
+            pts.append(t)
+    return pts + [math.pi]
 
 
 def mahler_quadratic_y(p: BivariatePoly, tol: Tolerance = Tolerance(absolute=1e-10)) -> float:
@@ -301,8 +255,14 @@ def mahler_torus2(p: BivariatePoly, tol: Tolerance = Tolerance(absolute=1e-5)) -
             )
         return acc / TWO_PI
 
-    res = integrate_adaptive(inner, 0.0, math.pi, Tolerance(absolute=tol.absolute * math.pi))
-    return res.value / math.pi
+    # by Jensen's formula the inner average is log|A| + sum log+|y_i|, so the
+    # outer integrand kinks at the same angles as the Jensen integrand
+    panels = split_angles(p)
+    per_panel = Tolerance(absolute=tol.absolute * math.pi / (len(panels) - 1))
+    total = 0.0
+    for lo, hi in zip(panels[:-1], panels[1:]):
+        total += integrate_adaptive(inner, lo, hi, per_panel).value
+    return total / math.pi
 
 
 def mahler_family(family: str, alpha: float, method: str = "jensen",

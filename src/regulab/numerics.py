@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -57,11 +56,6 @@ class NoConvergenceError(RuntimeError):
 
 class DegenerateInputError(ValueError):
     pass
-
-
-def _use_compensated_sum() -> bool:
-    # REGULAB_PRECISION=dd selects exact (double-double style) accumulation.
-    return os.environ.get("REGULAB_PRECISION", "double") == "dd"
 
 
 def integrate_adaptive(
@@ -136,13 +130,10 @@ def integrate_endpoint_singular(
             return 0.0
         return w * f(x)
 
-    compensated = _use_compensated_sum()
-    accumulate = math.fsum if compensated else sum
-
     # level 0: trapezoid with h=1, then refine by inserting midpoints
     h = 1.0
     n0 = int(_TS_TMAX / h)
-    total = accumulate(node_term(k * h) for k in range(-n0, n0 + 1))
+    total = sum(node_term(k * h) for k in range(-n0, n0 + 1))
     estimate = h * total
     err = math.inf
     for _ in range(12):
@@ -153,7 +144,7 @@ def integrate_endpoint_singular(
         if n % 2 == 0:
             n -= 1
         # odd multiples of h only
-        total += accumulate(node_term(k * h) for k in range(-n, n + 1, 2))
+        total += sum(node_term(k * h) for k in range(-n, n + 1, 2))
         prev, estimate = estimate, h * total
         err = abs(estimate - prev)
         if err <= max(tol.absolute, tol.relative * abs(estimate)) * 0.1:

@@ -118,13 +118,6 @@ class TestMain:
         second = json.loads(capsys.readouterr().out)["records"]
         assert first == second
 
-    def test_threads_match_serial(self, capsys):
-        main(["verify", "bz1", "--grid", "1:2:1", "--json"])
-        serial = json.loads(capsys.readouterr().out)["records"]
-        main(["verify", "bz1", "--grid", "1:2:1", "--threads", "2", "--json"])
-        threaded = json.loads(capsys.readouterr().out)["records"]
-        assert serial == threaded
-
 
 class TestParser:
     def test_version_flag(self, capsys):

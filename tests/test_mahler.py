@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -107,6 +108,42 @@ class TestMahlerMeasures:
         assert cuts[0] == 0.0 and abs(cuts[-1] - math.pi) < 1e-12
         assert any(1.80 < c < 1.82 for c in cuts)  # end of the on-torus arc
         assert all(b > a for a, b in zip(cuts, cuts[1:]))
+        # S at alpha=3 has its kink at the exact toric angle 2 pi / 3
+        cuts = split_angles(family_poly(FamilySpec("S", 3.0)))
+        assert any(abs(c - 2 * math.pi / 3) < 1e-14 for c in cuts)
+
+    def test_non_self_inversive_kink_from_resultant(self):
+        # (y - 1 - x)(y - 3): the root 1 + x crosses |y| = 1 at theta = 2 pi / 3,
+        # which only the resultant with the reciprocal polynomial reveals
+        p = BivariatePoly([[3, 3], [-4, -1], [1]])
+        assert any(abs(c - 2 * math.pi / 3) < 1e-12 for c in split_angles(p))
+        # m = log 3 + m(1 + x + y) = log 3 + (3 sqrt 3 / 4 pi) L(chi_-3, 2)
+        l_chi = float(mpmath.dirichlet(2, [0, 1, -1]))
+        expect = math.log(3) + 3 * math.sqrt(3) / (4 * math.pi) * l_chi
+        assert abs(mahler_quadratic_y(p) - expect) < 1e-10
+
+    @pytest.mark.parametrize(
+        "family,alpha", [("Q", 5.5807), ("R", 9.38), ("R", 11.561)]
+    )
+    def test_torus2_does_not_step_over_kinks(self, family, alpha):
+        # an outer theta panel that straddles a kink of the integrand is off
+        # by up to 4.6e-3 here without raising a convergence error
+        poly = family_poly(FamilySpec(family, alpha))
+        slow = mahler_torus2(poly, Tolerance(absolute=1e-5))
+        assert abs(mahler_quadratic_y(poly) - slow) < 1e-4
+
+    @pytest.mark.parametrize(
+        "family,lo,hi", [("P", -3.0, 7.0), ("S", -3.0, 7.0), ("Q", 4.0, 12.0), ("R", 6.0, 14.0)]
+    )
+    def test_torus2_agrees_with_jensen_on_ac10_ranges(self, family, lo, hi):
+        @settings(max_examples=4, deadline=None)
+        @given(st.floats(lo, hi))
+        def check(alpha):
+            poly = family_poly(FamilySpec(family, alpha))
+            slow = mahler_torus2(poly, Tolerance(absolute=1e-5))
+            assert abs(mahler_quadratic_y(poly) - slow) < 1e-4
+
+        check()
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ from .numerics import (
     Tolerance,
     integrate_adaptive,
     integrate_endpoint_singular,
+    integrate_panels_singular,
     solve_quadratic_stable,
 )
 from .dilogarithm import QPoint, bloch_wigner, elliptic_dilog, elliptic_dilog_divisor, li2

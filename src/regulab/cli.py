@@ -298,8 +298,23 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _join_grid_values(argv: list) -> list:
+    """Rewrite ``--grid VALUE`` as ``--grid=VALUE``.
+
+    argparse reads a separate value that starts with a minus sign, such as
+    -20:-1.5:0.5, as an option and reports that --grid has no argument.
+    """
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--grid":
+            out[-1] = "--grid=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_grid_values(sys.argv[1:] if argv is None else argv))
     t0 = time.time()
     try:
         report = args.fn(args)

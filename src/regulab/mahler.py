@@ -10,32 +10,31 @@ angles where a root crosses the unit circle, and at discriminant
 collisions, all taken from the exact unit-circle roots of polynomials
 in x (A, B^2 - 4AC, and the resultant of P with its reciprocal).  A
 slower direct two-dimensional torus quadrature cross-validates the
-result without ever solving for y-roots; its outer rule uses the same
-panels.
+result.  Its integrand is log|P| sampled directly; the y-roots only
+place the ends of its inner phi panels, and its outer rule uses the same
+theta panels.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 from numpy.polynomial import polynomial as npp
 
 from .numerics import (
     DegenerateInputError,
-    NoConvergenceError,
-    QuadratureResult,
     Tolerance,
     integrate_adaptive,
     integrate_endpoint_singular,
+    integrate_panels_singular,
     solve_quadratic_stable,
 )
 
 TWO_PI = 2.0 * math.pi
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -46,6 +45,8 @@ class FamilySpec:
     def __post_init__(self):
         if self.family.upper() not in ("P", "S", "Q", "R"):
             raise DegenerateInputError(f"unknown family {self.family!r}")
+        if not math.isfinite(self.alpha):
+            raise DegenerateInputError(f"alpha must be finite, got {self.alpha!r}")
         object.__setattr__(self, "family", self.family.upper())
 
 
@@ -142,12 +143,16 @@ def _positive_log_sum(p: BivariatePoly, theta: float) -> float:
 # this close to |x| = 1 counts as on it, and kinks this close together count
 # as one; a boundary next to a near-kink is harmless.
 ON_CIRCLE = 1e-6
+# A discriminant root r just off the circle leaves a near-kink in theta about
+# ||r| - 1| wide at arg r (P at alpha = -1.000001: 1.2e-3 off, and tanh-sinh
+# stalls across it), so such a root also bounds a panel.
+NEAR_CIRCLE = 0.05
 
 
-def _unit_circle_angles(coeffs):
-    """Angles in (0, pi] of the unit-circle roots of a polynomial (ascending coefficients)."""
+def _unit_circle_angles(coeffs, band=ON_CIRCLE):
+    """Angles in (0, pi] of the roots within ``band`` of |x| = 1 (ascending coefficients)."""
     return [float(np.angle(r)) for r in np.roots(np.asarray(coeffs)[::-1])
-            if abs(abs(r) - 1.0) < ON_CIRCLE and np.angle(r) > 0.0]
+            if abs(abs(r) - 1.0) < band and np.angle(r) > 0.0]
 
 
 def _padded_rows(p: BivariatePoly):
@@ -183,12 +188,15 @@ def split_angles(p: BivariatePoly):
 
     The kinks are the unit-circle roots of the leading coefficient A (a
     root y goes to infinity), of the discriminant B^2 - 4AC (two roots
-    collide) and of the toric resultant (a root crosses |y| = 1).
+    collide) and of the toric resultant (a root crosses |y| = 1).  The
+    arguments of discriminant roots within NEAR_CIRCLE of the circle are
+    boundaries too.
     """
     kinks = _unit_circle_angles(p.leading_y_coeff) + _unit_circle_angles(_toric_resultant(p))
     if p.y_degree == 2:
         c, b, a = _padded_rows(p)
-        kinks += _unit_circle_angles(npp.polysub(npp.polymul(b, b), 4.0 * npp.polymul(a, c)))
+        disc = npp.polysub(npp.polymul(b, b), 4.0 * npp.polymul(a, c))
+        kinks += _unit_circle_angles(disc, NEAR_CIRCLE)
     pts = [0.0]
     for t in sorted(kinks):
         if t - pts[-1] > ON_CIRCLE and t < math.pi - ON_CIRCLE:
@@ -212,48 +220,44 @@ def mahler_quadratic_y(p: BivariatePoly, tol: Tolerance = Tolerance(absolute=1e-
     return base + total / math.pi
 
 
+def _phi_panels(p: BivariatePoly, theta: float):
+    """Cyclic phi panels covering [psi_1, psi_1 + 2 pi), ending at each psi_i = arg y_i.
+
+    The y_i are the roots of P(e^{i theta}, y).  log|P(e^{i theta}, e^{i phi})|
+    = log|A| + sum_i log|e^{i phi} - y_i| is smooth in phi apart from a dip
+    at each psi_i, a log singularity when |y_i| = 1, so the dips sit at
+    panel ends.
+    """
+    ends = sorted(cmath.phase(r) % TWO_PI for r in _torus_roots(p, theta))
+    if not ends:
+        return [(0.0, TWO_PI)]
+    ends.append(ends[0] + TWO_PI)
+    return [(lo, hi) for lo, hi in zip(ends[:-1], ends[1:]) if lo < hi]
+
+
 def mahler_torus2(p: BivariatePoly, tol: Tolerance = Tolerance(absolute=1e-5)) -> float:
-    """Direct quadrature of log|P| over the torus; root-free cross-check."""
+    """Direct quadrature of log|P| over the torus; cross-check of Jensen reduction.
+
+    The integrand is log|P| sampled directly.  The y-roots at each outer
+    node only place the ends of the inner phi panels (``_phi_panels``).  A
+    misplaced end leaves the log singularity of a root on |y| = 1 inside a
+    panel, where the inner tanh-sinh rule stalls and raises
+    NoConvergenceError instead of returning a wrong value.
+    """
+    inner_tol = Tolerance(absolute=0.5 * tol.absolute)  # stops at 0.05*tol
 
     def inner(theta: float) -> float:
         a, b, c = p.coeffs_at(cmath.exp(1j * theta))
+        # on |y| = 1, |P| is not resolved below the rounding error of its
+        # terms; samples that close to a torus zero can come out as exactly 0
+        noise = _EPS * (abs(a) + abs(b) + abs(c))
 
-        def f(phi: float) -> float:
-            y = cmath.exp(1j * phi)
-            v = abs((a * y + b) * y + c)
-            return math.log(v) if v > 0 else -745.0
+        def log_abs_p(phi):
+            y = np.exp(1j * phi)
+            return np.log(np.maximum(np.abs((a * y + b) * y + c), noise))
 
-        # locate near-zeros of |P| on this circle to place panels
-        n = 256
-        phis = np.linspace(0.0, TWO_PI, n + 1)
-        vals = np.array([f(ph) for ph in phis])
-        cuts = {0.0, TWO_PI}
-        floor = np.median(vals) - 4.0
-        for k in range(1, n):
-            if vals[k] < vals[k - 1] and vals[k] < vals[k + 1] and vals[k] < floor:
-                lo, hi = phis[k - 1], phis[k + 1]
-                for _ in range(120):
-                    m1 = lo + (hi - lo) * 0.382
-                    m2 = lo + (hi - lo) * 0.618
-                    if f(m1) < f(m2):
-                        hi = m2
-                    else:
-                        lo = m1
-                cuts.add(0.5 * (lo + hi))
-        interior = sorted(c for c in cuts if 0.0 < c < TWO_PI)
-        with warnings.catch_warnings():
-            # the error estimate is checked explicitly below
-            warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
-            acc, err = scipy.integrate.quad(
-                f, 0.0, TWO_PI, points=interior, limit=400,
-                epsabs=tol.absolute * 0.05, epsrel=0.0,
-            )
-        if err > tol.absolute:
-            raise NoConvergenceError(
-                f"inner torus integral error {err:.3g}",
-                QuadratureResult(acc, err, 1),
-            )
-        return acc / TWO_PI
+        inner_panels = _phi_panels(p, theta)
+        return integrate_panels_singular(log_abs_p, inner_panels, inner_tol).value / TWO_PI
 
     # by Jensen's formula the inner average is log|A| + sum log+|y_i|, so the
     # outer integrand kinks at the same angles as the Jensen integrand

@@ -3,8 +3,11 @@
 Two integrators are provided: an adaptive Gauss-Kronrod wrapper for
 integrands that are smooth on the closed interval, and a tanh-sinh
 (double-exponential) rule for integrands with inverse-square-root or
-logarithmic blow-up at one or both endpoints.  Both return a
-:class:`QuadratureResult` with an error estimate and an evaluation count.
+logarithmic blow-up at one or both endpoints.  The tanh-sinh rule comes
+in a scalar form and an array form that integrates a vectorised
+integrand over several panels at once; both share one node table and
+one stopping rule.  All return a :class:`QuadratureResult` with an
+error estimate and an evaluation count.
 
 Interior singularities are *not* handled here; callers split the domain
 at known bad points first.
@@ -13,10 +16,12 @@ at known bad points first.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
 import scipy.integrate
 
 
@@ -89,6 +94,47 @@ def integrate_adaptive(
 # endpoints are computed via 1 - tanh(u) = 2/(1+exp(2u)) so that singular
 # factors like 1/sqrt(x-a) stay accurate near the boundary.
 _TS_TMAX = 4.8  # sinh(4.8)*pi/2 ~ 95: endpoint offsets stay normal floats
+_TS_LEVELS = 12  # refinements after the h = 1 trapezoid
+
+
+@dataclass(frozen=True)
+class _TanhSinhLevel:
+    """New nodes of one refinement level.
+
+    On (a, b) a node lies (b - a) / divisor from its nearer endpoint, the
+    left one where ``left`` is true, with weight
+    (b - a)/2 * (pi/2) * cosh_t / cosh_u2 before the step h.  The scalar
+    rule reads these factors from ``nodes`` as Python floats; the array
+    rule reads ``step`` (the offset on a unit interval, signed towards the
+    interior) and ``weight`` (the weight on a unit interval).
+    """
+
+    nodes: tuple  # (divisor, cosh_t, cosh_u2, left) per node
+    step: np.ndarray
+    weight: np.ndarray
+    left: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _ts_level(level: int) -> _TanhSinhLevel:
+    """Level 0: t = -4..4 at h = 1; level j: the odd multiples of h = 2^-j within _TS_TMAX."""
+    h = 0.5**level
+    n = int(_TS_TMAX / h)
+    if level == 0:
+        ks = range(-n, n + 1)
+    else:
+        ks = range(-n if n % 2 else 1 - n, n + 1, 2)
+    nodes = []
+    for k in ks:
+        t = k * h
+        u = 0.5 * math.pi * math.sinh(t)
+        nodes.append((1.0 + math.exp(2.0 * abs(u)), math.cosh(t), math.cosh(u) ** 2, u < 0))
+    divisor, cosh_t, cosh_u2, left = (np.array(col) for col in zip(*nodes))
+    step = np.where(left, 1.0, -1.0) / divisor
+    weight = 0.25 * math.pi * cosh_t / cosh_u2
+    for arr in (step, weight, left):
+        arr.setflags(write=False)
+    return _TanhSinhLevel(tuple(nodes), step, weight, left)
 
 
 def integrate_endpoint_singular(
@@ -113,43 +159,79 @@ def integrate_endpoint_singular(
     """
     if not a < b:
         raise DegenerateInputError(f"need a < b, got a={a}, b={b}")
-    half = 0.5 * (b - a)
-    evals = [0]
+    width = b - a
+    scale = 0.5 * width * 0.5 * math.pi
 
-    def node_term(t):
-        evals[0] += 1
-        u = 0.5 * math.pi * math.sinh(t)
-        # distance from the nearer endpoint, cancellation-free
-        off = (b - a) / (1.0 + math.exp(2.0 * abs(u)))
-        w = half * 0.5 * math.pi * math.cosh(t) / math.cosh(u) ** 2
-        if offsets:
-            off_a, off_b = (off, (b - a) - off) if u < 0 else ((b - a) - off, off)
-            return w * f(off_a, off_b)
-        x = a + off if u < 0 else b - off
-        if not a < x < b:  # rounded onto an endpoint; weighted term is ~1e-37
-            return 0.0
-        return w * f(x)
+    def level_sum(level):
+        nodes = _ts_level(level).nodes
+        acc = 0.0
+        for divisor, cosh_t, cosh_u2, left in nodes:
+            off = width / divisor
+            w = scale * cosh_t / cosh_u2
+            if offsets:
+                acc += w * f(off, width - off) if left else w * f(width - off, off)
+                continue
+            x = a + off if left else b - off
+            if a < x < b:  # else rounded onto an endpoint; weighted term is ~1e-37
+                acc += w * f(x)
+        return acc, len(nodes)
 
-    # level 0: trapezoid with h=1, then refine by inserting midpoints
-    h = 1.0
-    n0 = int(_TS_TMAX / h)
-    total = sum(node_term(k * h) for k in range(-n0, n0 + 1))
-    estimate = h * total
+    return _refine(level_sum, tol)
+
+
+def integrate_panels_singular(
+    f: Callable[[np.ndarray], np.ndarray],
+    panels,
+    tol: Tolerance = Tolerance(),
+) -> QuadratureResult:
+    """Tanh-sinh integration of a vectorised f over the sum of several panels.
+
+    ``panels`` is a sequence of (a, b) pairs with a < b; f may have
+    integrable logarithmic or inverse-square-root singularities at any
+    panel end and is never evaluated there.  Each refinement level calls
+    f once, on one array holding the new nodes of every panel.  Stopping
+    and error semantics are those of ``integrate_endpoint_singular``.
+    """
+    if not panels or not all(a < b for a, b in panels):
+        raise DegenerateInputError(f"need panels with a < b, got {panels!r}")
+    ends = np.asarray(panels, dtype=float)
+    lo, hi = ends[:, :1], ends[:, 1:]
+    width = hi - lo
+
+    def level_sum(level):
+        nodes = _ts_level(level)
+        x = np.where(nodes.left, lo, hi) + width * nodes.step
+        inside = (lo < x) & (x < hi)  # else rounded onto an end; weighted term is ~1e-37
+        x = x[inside]
+        return float(np.dot((width * nodes.weight)[inside], f(x))), x.size
+
+    return _refine(level_sum, tol)
+
+
+def _refine(level_sum, tol: Tolerance) -> QuadratureResult:
+    """Add tanh-sinh levels until two successive estimates differ by at most 0.1*tol.
+
+    ``level_sum(level)`` returns the weighted sum over that level's new
+    nodes, without the step h, and the number of evaluations it made.  At
+    the level cap or the evaluation budget a difference up to tol is
+    accepted; beyond that NoConvergenceError carries the best estimate.
+    """
+    evals = 0
+    total = 0.0
+    estimate = 0.0
     err = math.inf
-    for _ in range(12):
-        if evals[0] > tol.max_evaluations:
+    for level in range(_TS_LEVELS + 1):
+        if evals > tol.max_evaluations:
             break
-        h *= 0.5
-        n = int(_TS_TMAX / h)
-        if n % 2 == 0:
-            n -= 1
-        # odd multiples of h only
-        total += sum(node_term(k * h) for k in range(-n, n + 1, 2))
-        prev, estimate = estimate, h * total
-        err = abs(estimate - prev)
-        if err <= max(tol.absolute, tol.relative * abs(estimate)) * 0.1:
-            return QuadratureResult(estimate, err, evals[0])
-    best = QuadratureResult(estimate, err, max(evals[0], 1))
+        acc, n = level_sum(level)
+        evals += n
+        total += acc
+        prev, estimate = estimate, 0.5**level * total
+        if level:
+            err = abs(estimate - prev)
+            if err <= max(tol.absolute, tol.relative * abs(estimate)) * 0.1:
+                return QuadratureResult(estimate, err, max(evals, 1))
+    best = QuadratureResult(estimate, err, max(evals, 1))
     if err <= max(tol.absolute, tol.relative * abs(estimate)):
         return best
     raise NoConvergenceError(

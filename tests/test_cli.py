@@ -87,6 +87,14 @@ class TestMain:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "name,lhs,rhs,residual,tol,pass"
 
+    def test_negative_grid_as_separate_value(self, capsys):
+        records = []
+        for argv in (["--grid", "-3:-1.5:0.5"], ["--grid=-3:-1.5:0.5"]):
+            assert main(["verify", "bz1", *argv, "--json"]) == 0
+            records.append(json.loads(capsys.readouterr().out)["records"])
+        assert len(records[0]) == 4
+        assert records[0] == records[1]
+
     def test_invalid_grid_exit_two(self, capsys):
         code = main(["verify", "bz1", "--grid", "oops"])
         assert code == 2

@@ -1,5 +1,6 @@
 """Mahler measures: Jensen reduction, torus quadrature, and path integrals."""
 
+import cmath
 import math
 
 import mpmath
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from regulab import mahler
 from regulab.mahler import (
     BivariatePoly,
     FamilySpec,
@@ -18,7 +20,7 @@ from regulab.mahler import (
     mahler_torus2,
     split_angles,
 )
-from regulab.numerics import DegenerateInputError, Tolerance
+from regulab.numerics import DegenerateInputError, NoConvergenceError, Tolerance
 
 
 class TestFamilySpec:
@@ -28,6 +30,11 @@ class TestFamilySpec:
     def test_rejects_unknown_family(self):
         with pytest.raises(ValueError):
             FamilySpec("Z", 1.0)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_alpha(self, alpha):
+        with pytest.raises(DegenerateInputError, match="alpha"):
+            FamilySpec("P", alpha)
 
 
 class TestBivariatePoly:
@@ -122,12 +129,23 @@ class TestMahlerMeasures:
         expect = math.log(3) + 3 * math.sqrt(3) / (4 * math.pi) * l_chi
         assert abs(mahler_quadratic_y(p) - expect) < 1e-10
 
+    @pytest.mark.parametrize("alpha", [-1.000001, -1.0000001, -1.00000001])
+    def test_jensen_just_below_p_minus_one(self, alpha):
+        # discriminant roots lie 1e-3..1e-4 off the circle near theta = 2 pi / 3;
+        # without a panel boundary there the Jensen rule stalls
+        poly = family_poly(FamilySpec("P", alpha))
+        slow = mahler_torus2(poly, Tolerance(absolute=1e-7))
+        assert abs(mahler_quadratic_y(poly) - slow) < 1e-6
+
     @pytest.mark.parametrize(
-        "family,alpha", [("Q", 5.5807), ("R", 9.38), ("R", 11.561)]
+        "family,alpha",
+        [("Q", 5.5807), ("R", 9.38), ("R", 11.561), ("S", 3.9887), ("S", 4.0001), ("P", 4.0)],
     )
     def test_torus2_does_not_step_over_kinks(self, family, alpha):
         # an outer theta panel that straddles a kink of the integrand is off
-        # by up to 4.6e-3 here without raising a convergence error
+        # by up to 4.6e-3 at the first three without raising a convergence
+        # error; the S points have double y-roots on the circle, and P at 4
+        # meets the torus along an arc
         poly = family_poly(FamilySpec(family, alpha))
         slow = mahler_torus2(poly, Tolerance(absolute=1e-5))
         assert abs(mahler_quadratic_y(poly) - slow) < 1e-4
@@ -144,6 +162,23 @@ class TestMahlerMeasures:
             assert abs(mahler_quadratic_y(poly) - slow) < 1e-4
 
         check()
+
+    @pytest.mark.parametrize("family,alpha", [("P", 3.0), ("S", 1.0), ("Q", 5.0), ("R", 7.0)])
+    def test_torus2_with_misplaced_phi_panel_ends_is_not_silently_wrong(
+        self, family, alpha, monkeypatch
+    ):
+        # the y-roots only place the inner panel ends; misplaced ends leave a
+        # log singularity inside a panel, which must not pass as converged
+        poly = family_poly(FamilySpec(family, alpha))
+        fast = mahler_quadratic_y(poly)
+        roots = mahler._torus_roots
+        monkeypatch.setattr(mahler, "_torus_roots", lambda p, theta: tuple(
+            r * cmath.exp(1e-3j) for r in roots(p, theta)))
+        try:
+            slow = mahler_torus2(poly, Tolerance(absolute=1e-5))
+        except NoConvergenceError:
+            return
+        assert abs(fast - slow) < 1e-4
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):

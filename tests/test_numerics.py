@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +13,7 @@ from regulab.numerics import (
     Tolerance,
     integrate_adaptive,
     integrate_endpoint_singular,
+    integrate_panels_singular,
     solve_quadratic_stable,
 )
 
@@ -96,6 +98,50 @@ class TestTanhSinh:
 
         integrate_endpoint_singular(f, 0.0, 1.0)
         assert all(0.0 < x < 1.0 for x in seen)
+
+
+class TestPanelsTanhSinh:
+    @pytest.mark.parametrize("f,a,b,tol", [
+        (math.log, 0.0, 1.0, 1e-10),
+        (lambda t: 1.0 / math.sqrt(t * (1.0 - t)), 0.0, 1.0, 1e-7),
+        (lambda x: 1.0 / math.sqrt(x - 2.0), 2.0, 3.0, 1e-7),
+    ])
+    def test_matches_scalar_rule_on_one_panel(self, f, a, b, tol):
+        scalar = integrate_endpoint_singular(f, a, b, Tolerance(absolute=tol))
+        array = integrate_panels_singular(np.vectorize(f), [(a, b)], Tolerance(absolute=tol))
+        assert abs(array.value - scalar.value) < 1e-12
+        assert array.evaluations <= scalar.evaluations
+
+    def test_sums_several_panels(self):
+        # log|x| over [-1, 2] in three panels with the singularity at a shared end
+        panels = [(-1.0, 0.0), (0.0, 0.5), (0.5, 2.0)]
+        r = integrate_panels_singular(lambda x: np.log(np.abs(x)), panels)
+        assert abs(r.value - (2.0 * math.log(2.0) - 3.0)) < 1e-12
+        assert r.evaluations > 0
+
+    def test_never_evaluates_panel_ends(self):
+        seen = []
+
+        def f(x):
+            seen.extend(x)
+            return np.log(np.abs(x - 1.0))
+
+        integrate_panels_singular(f, [(0.0, 1.0), (1.0, 3.0)])
+        assert all(x not in (0.0, 1.0, 3.0) for x in seen)
+        # on a panel one ulp wide every node rounds onto one end or the other
+        seen.clear()
+        integrate_panels_singular(f, [(3.0, math.nextafter(3.0, 4.0))])
+        assert seen == []
+
+    def test_nonconvergence_carries_best_estimate(self):
+        with pytest.raises(NoConvergenceError) as err:
+            integrate_panels_singular(lambda x: 1.0 / x, [(0.0, 1.0)])
+        assert isinstance(err.value.best, QuadratureResult)
+
+    @pytest.mark.parametrize("panels", [[], [(1.0, 1.0)], [(0.0, 1.0), (2.0, 1.5)]])
+    def test_rejects_empty_or_reversed_panels(self, panels):
+        with pytest.raises(DegenerateInputError):
+            integrate_panels_singular(np.log, panels)
 
 
 class TestQuadraticSolver:

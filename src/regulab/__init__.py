@@ -8,8 +8,10 @@ from .numerics import (
     Tolerance,
     integrate_adaptive,
     integrate_endpoint_singular,
+    integrate_panel_rows,
     integrate_panels_singular,
     solve_quadratic_stable,
+    solve_quadratic_stable_array,
 )
 from .dilogarithm import QPoint, bloch_wigner, elliptic_dilog, elliptic_dilog_divisor, li2
 from .elliptic import (

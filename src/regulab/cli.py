@@ -20,14 +20,23 @@ import time
 from dataclasses import dataclass, field
 
 from . import __version__
+from .dilogarithm import UnresolvedPointError
 from .divisors import (
+    InconclusiveOrderError,
+    UnembeddablePointError,
     derive_equivalence,
     diamond,
     family_divisor_catalog,
     family_embedding,
     strip_self_inverse,
 )
-from .lfunctions import TABLE_ONE, l_prime_zero, parse_override_file, table_one_lseries
+from .lfunctions import (
+    TABLE_ONE,
+    MissingPrimeError,
+    l_prime_zero,
+    parse_override_file,
+    table_one_lseries,
+)
 from .mahler import FamilySpec, family_poly, mahler_quadratic_y, mahler_torus2
 from .numerics import DegenerateInputError, NoConvergenceError, Tolerance
 from .periods import change_of_variable_check, verify_period_identity
@@ -109,6 +118,8 @@ def parse_grid(text: str) -> list:
         a, b, step = (float(t) for t in text.split(":"))
     except ValueError as exc:
         raise DegenerateInputError(f"bad grid {text!r}, expected a:b:step") from exc
+    if not all(math.isfinite(v) for v in (a, b, step)):
+        raise DegenerateInputError(f"bad grid {text!r}, a, b and step must be finite")
     if step <= 0 or b < a:
         raise DegenerateInputError(f"bad grid {text!r}")
     n = int(round((b - a) / step))
@@ -318,10 +329,11 @@ def main(argv=None) -> int:
     t0 = time.time()
     try:
         report = args.fn(args)
-    except (DegenerateInputError, ValueError, OSError) as exc:
+    except (DegenerateInputError, ValueError, OSError,
+            UnresolvedPointError, UnembeddablePointError, MissingPrimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NoConvergenceError as exc:
+    except (NoConvergenceError, InconclusiveOrderError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
     report.seconds = round(time.time() - t0, 3)

@@ -12,7 +12,9 @@ in x (A, B^2 - 4AC, and the resultant of P with its reciprocal).  A
 slower direct two-dimensional torus quadrature cross-validates the
 result.  Its integrand is log|P| sampled directly; the y-roots only
 place the ends of its inner phi panels, and its outer rule uses the same
-theta panels.
+theta panels.  Each outer refinement level is one array of theta nodes,
+whose inner phi integrals run side by side as rows of one batched
+tanh-sinh call.
 """
 
 from __future__ import annotations
@@ -29,8 +31,9 @@ from .numerics import (
     Tolerance,
     integrate_adaptive,
     integrate_endpoint_singular,
-    integrate_panels_singular,
+    integrate_panel_rows,
     solve_quadratic_stable,
+    solve_quadratic_stable_array,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -220,44 +223,54 @@ def mahler_quadratic_y(p: BivariatePoly, tol: Tolerance = Tolerance(absolute=1e-
     return base + total / math.pi
 
 
-def _phi_panels(p: BivariatePoly, theta: float):
-    """Cyclic phi panels covering [psi_1, psi_1 + 2 pi), ending at each psi_i = arg y_i.
+def _root_rows(p: BivariatePoly, a, b, c) -> np.ndarray:
+    """The y-roots of P at each node, one row per node; (a, b, c) as from ``coeffs_at``."""
+    if p.y_degree == 2:
+        return np.stack(solve_quadratic_stable_array(a, b, c), axis=-1)
+    if p.y_degree == 1:
+        return (-c / b)[:, None]
+    return np.ones((len(c), 1))  # no root: one panel from phi = 0
 
-    The y_i are the roots of P(e^{i theta}, y).  log|P(e^{i theta}, e^{i phi})|
-    = log|A| + sum_i log|e^{i phi} - y_i| is smooth in phi apart from a dip
-    at each psi_i, a log singularity when |y_i| = 1, so the dips sit at
-    panel ends.
+
+def _phi_panel_rows(roots: np.ndarray) -> np.ndarray:
+    """Cyclic phi panels, shape (rows, roots, 2), ending at each psi_i = arg y_i.
+
+    Row j covers [psi_1, psi_1 + 2 pi) for the roots y_i of
+    P(e^{i theta_j}, y).  log|P(e^{i theta}, e^{i phi})| = log|A| +
+    sum_i log|e^{i phi} - y_i| is smooth in phi apart from a dip at each
+    psi_i, a log singularity when |y_i| = 1, so the dips sit at panel
+    ends.  Two roots of equal argument leave an empty panel.
     """
-    ends = sorted(cmath.phase(r) % TWO_PI for r in _torus_roots(p, theta))
-    if not ends:
-        return [(0.0, TWO_PI)]
-    ends.append(ends[0] + TWO_PI)
-    return [(lo, hi) for lo, hi in zip(ends[:-1], ends[1:]) if lo < hi]
+    psi = np.sort(np.angle(roots) % TWO_PI, axis=1)
+    return np.stack([psi, np.concatenate([psi[:, 1:], psi[:, :1] + TWO_PI], axis=1)], axis=-1)
 
 
 def mahler_torus2(p: BivariatePoly, tol: Tolerance = Tolerance(absolute=1e-5)) -> float:
     """Direct quadrature of log|P| over the torus; cross-check of Jensen reduction.
 
-    The integrand is log|P| sampled directly.  The y-roots at each outer
-    node only place the ends of the inner phi panels (``_phi_panels``).  A
-    misplaced end leaves the log singularity of a root on |y| = 1 inside a
-    panel, where the inner tanh-sinh rule stalls and raises
-    NoConvergenceError instead of returning a wrong value.
+    The integrand is log|P| sampled directly.  The outer tanh-sinh rule
+    runs over theta on the Jensen panels (``split_angles``) and passes a
+    whole refinement level of theta nodes to one batched inner call
+    (``integrate_panel_rows``), one row of phi panels per node.  The
+    y-roots at each node only place the ends of its phi panels
+    (``_phi_panel_rows``).  A misplaced end leaves the log singularity of
+    a root on |y| = 1 inside a panel, where the inner rule stalls and
+    raises NoConvergenceError instead of returning a wrong value.
     """
     inner_tol = Tolerance(absolute=0.5 * tol.absolute)  # stops at 0.05*tol
 
-    def inner(theta: float) -> float:
-        a, b, c = p.coeffs_at(cmath.exp(1j * theta))
+    def outer(theta: np.ndarray) -> np.ndarray:
+        a, b, c = np.broadcast_arrays(*p.coeffs_at(np.exp(1j * theta)))
         # on |y| = 1, |P| is not resolved below the rounding error of its
         # terms; samples that close to a torus zero can come out as exactly 0
-        noise = _EPS * (abs(a) + abs(b) + abs(c))
+        noise = _EPS * (np.abs(a) + np.abs(b) + np.abs(c))
 
-        def log_abs_p(phi):
+        def log_abs_p(phi, row):
             y = np.exp(1j * phi)
-            return np.log(np.maximum(np.abs((a * y + b) * y + c), noise))
+            return np.log(np.maximum(np.abs((a[row] * y + b[row]) * y + c[row]), noise[row]))
 
-        inner_panels = _phi_panels(p, theta)
-        return integrate_panels_singular(log_abs_p, inner_panels, inner_tol).value / TWO_PI
+        rows = integrate_panel_rows(log_abs_p, _phi_panel_rows(_root_rows(p, a, b, c)), inner_tol)
+        return np.array([r.value for r in rows]) / TWO_PI
 
     # by Jensen's formula the inner average is log|A| + sum log+|y_i|, so the
     # outer integrand kinks at the same angles as the Jensen integrand
@@ -265,7 +278,7 @@ def mahler_torus2(p: BivariatePoly, tol: Tolerance = Tolerance(absolute=1e-5)) -
     per_panel = Tolerance(absolute=tol.absolute * math.pi / (len(panels) - 1))
     total = 0.0
     for lo, hi in zip(panels[:-1], panels[1:]):
-        total += integrate_adaptive(inner, lo, hi, per_panel).value
+        total += integrate_adaptive(outer, lo, hi, per_panel).value
     return total / math.pi
 
 

@@ -1,13 +1,14 @@
 """Precision-controlled quadrature and root-finding helpers.
 
-Two integrators are provided: an adaptive Gauss-Kronrod wrapper for
-integrands that are smooth on the closed interval, and a tanh-sinh
-(double-exponential) rule for integrands with inverse-square-root or
-logarithmic blow-up at one or both endpoints.  The tanh-sinh rule comes
-in a scalar form and an array form that integrates a vectorised
-integrand over several panels at once; both share one node table and
-one stopping rule.  All return a :class:`QuadratureResult` with an
-error estimate and an evaluation count.
+Every integrator here is the tanh-sinh (double-exponential) rule of
+Takahasi and Mori, which tolerates integrable inverse-square-root and
+logarithmic blow-up at the interval ends.  It comes in a scalar form,
+an array form that integrates a vectorised integrand over several
+panels at once, and a row form that runs many such array integrals side
+by side, one integrand call per refinement level for all of them.  All
+forms share one node table and one stopping rule, and return a
+:class:`QuadratureResult` with an error estimate and an evaluation
+count.
 
 Interior singularities are *not* handled here; callers split the domain
 at known bad points first.
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.integrate
 
 
 @dataclass(frozen=True)
@@ -64,30 +64,16 @@ class DegenerateInputError(ValueError):
 
 
 def integrate_adaptive(
-    f: Callable[[float], float], a: float, b: float, tol: Tolerance = Tolerance()
+    f: Callable[[np.ndarray], np.ndarray], a: float, b: float, tol: Tolerance = Tolerance()
 ) -> QuadratureResult:
-    """Adaptive Gauss-Kronrod integration of f over [a, b].
+    """Tanh-sinh integration of a vectorised f over (a, b); a < b is required.
 
-    f must be finite on the open interval; a < b is required.
+    f takes an array of abscissae and returns the integrand on it.  It is
+    called once per refinement level, so at most ``_TS_LEVELS + 1`` times,
+    and never at a or b, where it may have integrable singularities.
+    Stopping and error semantics are those of ``integrate_endpoint_singular``.
     """
-    if not a < b:
-        raise DegenerateInputError(f"need a < b, got a={a}, b={b}")
-    count = [0]
-
-    def g(x):
-        count[0] += 1
-        return f(x)
-
-    limit = max(10, tol.max_evaluations // 21)
-    value, err, info = scipy.integrate.quad(
-        g, a, b, epsabs=tol.absolute, epsrel=tol.relative, limit=limit, full_output=1
-    )[:3]
-    result = QuadratureResult(value, abs(err), max(count[0], 1))
-    if err > max(tol.absolute, tol.relative * abs(value)) * 10:
-        raise NoConvergenceError(
-            f"adaptive quadrature did not reach tolerance (err={err:.3g})", result
-        )
-    return result
+    return integrate_panels_singular(f, [(a, b)], tol)
 
 
 # tanh-sinh abscissa: x = mid + half*tanh(pi/2*sinh(t)).  Offsets from the
@@ -194,18 +180,65 @@ def integrate_panels_singular(
     """
     if not panels or not all(a < b for a, b in panels):
         raise DegenerateInputError(f"need panels with a < b, got {panels!r}")
-    ends = np.asarray(panels, dtype=float)
-    lo, hi = ends[:, :1], ends[:, 1:]
+    return integrate_panel_rows(lambda x, row: f(x), [panels], tol)[0]
+
+
+def integrate_panel_rows(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    ends,
+    tol: Tolerance = Tolerance(),
+) -> list[QuadratureResult]:
+    """One ``integrate_panels_singular`` per row of ``ends``, all run side by side.
+
+    ``ends`` has shape (rows, panels, 2): row i integrates over the panels
+    ``ends[i, k] = (a, b)`` with a <= b, where an empty panel (a == b)
+    adds nothing.  Each refinement level calls f once, as f(x, row), on
+    the new nodes of every row still refining; ``row[j]`` is the row of
+    node ``x[j]``.  A row stops by ``_refine``'s rule and then drops out,
+    so its result and evaluation count are those of the row integrated
+    alone, and ``tol.max_evaluations`` is a budget per row.  A row that
+    stalls raises NoConvergenceError carrying that row's best estimate.
+    """
+    ends = np.asarray(ends, dtype=float)
+    if (ends.ndim != 3 or ends.shape[2] != 2 or not np.all(np.isfinite(ends))
+            or np.any(ends[..., 0] > ends[..., 1])):
+        raise DegenerateInputError(
+            f"need shape (rows, panels, 2) with finite panels a <= b, got {ends.tolist()!r}")
+    lo, hi = ends[..., :1], ends[..., 1:]
     width = hi - lo
-
-    def level_sum(level):
+    total = np.zeros(len(ends))
+    estimate = np.zeros(len(ends))
+    err = np.full(len(ends), math.inf)
+    evals = np.zeros(len(ends), dtype=int)
+    active = np.arange(len(ends))
+    for level in range(_TS_LEVELS + 1):
+        active = active[evals[active] <= tol.max_evaluations]
+        if not active.size:
+            break
         nodes = _ts_level(level)
-        x = np.where(nodes.left, lo, hi) + width * nodes.step
-        inside = (lo < x) & (x < hi)  # else rounded onto an end; weighted term is ~1e-37
-        x = x[inside]
-        return float(np.dot((width * nodes.weight)[inside], f(x))), x.size
-
-    return _refine(level_sum, tol)
+        a, b, w = lo[active], hi[active], width[active]
+        x = np.where(nodes.left, a, b) + w * nodes.step
+        inside = (a < x) & (x < b)  # else rounded onto an end; weighted term is ~1e-37
+        pos = np.nonzero(inside)[0]  # index into ``active`` of each inside node
+        fx = f(x[inside], active[pos])
+        total[active] += np.bincount(pos, (w * nodes.weight)[inside] * fx, active.size)
+        evals[active] += np.bincount(pos, minlength=active.size)
+        prev = estimate[active]
+        estimate[active] = 0.5**level * total[active]
+        if level:
+            err[active] = np.abs(estimate[active] - prev)
+            bound = np.maximum(tol.absolute, tol.relative * np.abs(estimate[active]))
+            active = active[~(err[active] <= bound * 0.1)]
+    # rows left unconverged at the level cap or the budget pass up to tol
+    stalled = np.nonzero(~(err <= np.maximum(tol.absolute, tol.relative * np.abs(estimate))))[0]
+    results = [QuadratureResult(v, e, max(n, 1))
+               for v, e, n in zip(estimate.tolist(), err.tolist(), evals.tolist())]
+    if stalled.size:
+        i = stalled[0]
+        raise NoConvergenceError(
+            f"tanh-sinh quadrature stalled at error {err[i]:.3g}", results[i]
+        )
+    return results
 
 
 def _refine(level_sum, tol: Tolerance) -> QuadratureResult:
@@ -256,3 +289,16 @@ def solve_quadratic_stable(a: complex, b: complex, c: complex) -> tuple[complex,
         r1 = (-b - d) / (2 * a)
     r2 = c / (a * r1)
     return (r1, r2)
+
+
+def solve_quadratic_stable_array(a, b, c) -> tuple[np.ndarray, np.ndarray]:
+    """``solve_quadratic_stable`` elementwise on complex arrays, with the same root order."""
+    a, b, c = np.broadcast_arrays(*(np.asarray(v, dtype=complex) for v in (a, b, c)))
+    if np.any(a == 0):
+        raise DegenerateInputError("leading coefficient is zero")
+    d = np.sqrt(b * b - 4 * a * c)
+    r1 = np.where(np.abs(-b + d) >= np.abs(-b - d), -b + d, -b - d) / (2 * a)
+    no_c = c == 0
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 only where c == 0
+        r2 = c / (a * r1)
+    return np.where(no_c, 0.0, r1), np.where(no_c, -b / a, r2)

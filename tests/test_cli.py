@@ -6,7 +6,11 @@ import json
 
 import pytest
 
+from regulab import cli
 from regulab.cli import Record, Report, build_parser, main, parse_grid
+from regulab.dilogarithm import UnresolvedPointError
+from regulab.divisors import InconclusiveOrderError, UnembeddablePointError
+from regulab.lfunctions import MissingPrimeError
 from regulab.numerics import DegenerateInputError
 
 
@@ -20,7 +24,9 @@ class TestParseGrid:
     def test_negative_range(self):
         assert parse_grid("-5:-2:1.5") == [-5.0, -3.5, -2.0]
 
-    @pytest.mark.parametrize("bad", ["1:2", "a:b:c", "3:1:0.5", "0:1:0"])
+    @pytest.mark.parametrize(
+        "bad", ["1:2", "a:b:c", "3:1:0.5", "0:1:0", "0:inf:1", "nan:1:0.5", "0:1:inf"]
+    )
     def test_rejects_malformed(self, bad):
         with pytest.raises(DegenerateInputError):
             parse_grid(bad)
@@ -99,6 +105,26 @@ class TestMain:
         code = main(["verify", "bz1", "--grid", "oops"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["0:inf:1", "nan:1:0.5", "0:1:inf"])
+    def test_non_finite_grid_exit_two(self, grid, capsys):
+        code = main(["verify", "bz1", "--grid", grid])
+        assert code == 2
+        assert f"bad grid {grid!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error,code,prefix", [
+        (InconclusiveOrderError("order not settled"), 1, "numeric failure:"),
+        (UnresolvedPointError("no embedding"), 2, "error:"),
+        (UnembeddablePointError("generator off curve"), 2, "error:"),
+        (MissingPrimeError("a_p missing"), 2, "error:"),
+    ])
+    def test_library_errors_map_to_exit_codes(self, error, code, prefix, monkeypatch, capsys):
+        def raises(args):
+            raise error
+
+        monkeypatch.setattr(cli, "cmd_verify", raises)
+        assert main(["verify", "diamonds"]) == code
+        assert capsys.readouterr().err.startswith(prefix)
 
     def test_regulator_requires_cubic_family(self, capsys):
         code = main(["regulator", "--family", "Q", "--alpha", "5"])

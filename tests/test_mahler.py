@@ -20,7 +20,7 @@ from regulab.mahler import (
     mahler_torus2,
     split_angles,
 )
-from regulab.numerics import DegenerateInputError, NoConvergenceError, Tolerance
+from regulab.numerics import _TS_LEVELS, DegenerateInputError, NoConvergenceError, Tolerance
 
 
 class TestFamilySpec:
@@ -163,22 +163,44 @@ class TestMahlerMeasures:
 
         check()
 
+    @pytest.mark.parametrize("rows", [[[2, 1]], [[1, 1], [1]], [[3, 3], [-4, -1], [1]]])
+    def test_torus2_handles_every_y_degree(self, rows):
+        # 2 + x, 1 + x + y and the non-self-inversive (y - 1 - x)(y - 3)
+        poly = BivariatePoly(rows)
+        slow = mahler_torus2(poly, Tolerance(absolute=1e-7))
+        assert abs(mahler_quadratic_y(poly) - slow) < 1e-8
+
+    @pytest.mark.parametrize("rotation", [1e-3, 0.3])
     @pytest.mark.parametrize("family,alpha", [("P", 3.0), ("S", 1.0), ("Q", 5.0), ("R", 7.0)])
     def test_torus2_with_misplaced_phi_panel_ends_is_not_silently_wrong(
-        self, family, alpha, monkeypatch
+        self, family, alpha, rotation, monkeypatch
     ):
         # the y-roots only place the inner panel ends; misplaced ends leave a
         # log singularity inside a panel, which must not pass as converged
         poly = family_poly(FamilySpec(family, alpha))
         fast = mahler_quadratic_y(poly)
-        roots = mahler._torus_roots
-        monkeypatch.setattr(mahler, "_torus_roots", lambda p, theta: tuple(
-            r * cmath.exp(1e-3j) for r in roots(p, theta)))
+        place = mahler._phi_panel_rows
+        monkeypatch.setattr(mahler, "_phi_panel_rows",
+                            lambda roots: place(roots * cmath.exp(1j * rotation)))
         try:
             slow = mahler_torus2(poly, Tolerance(absolute=1e-5))
         except NoConvergenceError:
             return
         assert abs(fast - slow) < 1e-4
+
+    @pytest.mark.parametrize("family,alpha", [("Q", 5.5807), ("R", 11.561)])
+    def test_torus2_batches_each_outer_level_into_one_inner_call(
+        self, family, alpha, monkeypatch
+    ):
+        poly = family_poly(FamilySpec(family, alpha))
+        calls = []
+        rows = mahler.integrate_panel_rows
+        monkeypatch.setattr(mahler, "integrate_panel_rows",
+                            lambda *args: calls.append(1) or rows(*args))
+        slow = mahler_torus2(poly, Tolerance(absolute=1e-5))
+        assert abs(mahler_quadratic_y(poly) - slow) < 1e-4
+        n_panels = len(split_angles(poly)) - 1
+        assert 0 < len(calls) <= (_TS_LEVELS + 1) * n_panels
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):

@@ -7,14 +7,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from regulab.numerics import (
+    _TS_LEVELS,
     DegenerateInputError,
     NoConvergenceError,
     QuadratureResult,
     Tolerance,
     integrate_adaptive,
     integrate_endpoint_singular,
+    integrate_panel_rows,
     integrate_panels_singular,
     solve_quadratic_stable,
+    solve_quadratic_stable_array,
 )
 
 
@@ -39,9 +42,22 @@ class TestAdaptive:
         assert abs(r.value - 8.0) < 1e-12
 
     def test_oscillatory(self):
-        r = integrate_adaptive(math.sin, 0.0, math.pi)
+        r = integrate_adaptive(np.sin, 0.0, math.pi)
         assert abs(r.value - 2.0) < 1e-12
         assert r.evaluations > 0
+
+    def test_calls_f_once_per_level_with_an_array(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return np.sqrt(x) * np.cos(x)
+
+        r = integrate_adaptive(f, 0.0, 5.0, Tolerance(absolute=1e-12))
+        assert abs(r.value - -2.728190928480553) < 1e-11  # mpmath.quad
+        assert 0 < len(calls) <= _TS_LEVELS + 1
+        assert all(isinstance(x, np.ndarray) for x in calls)
+        assert r.evaluations == sum(x.size for x in calls)
 
     def test_interval_validation(self):
         with pytest.raises(DegenerateInputError):
@@ -144,6 +160,42 @@ class TestPanelsTanhSinh:
             integrate_panels_singular(np.log, panels)
 
 
+class TestPanelRows:
+    # row k integrates log|x - s_k| + cos(3 k x); panels end at s_k, and an
+    # empty panel pads row 0 to the common panel count
+    SHIFTS = np.array([0.0, 0.3, 2.0])
+    ENDS = [[(0.0, 1.0), (1.0, 1.0)], [(-1.0, 0.3), (0.3, 2.0)], [(2.0, 2.5), (2.5, 3.0)]]
+
+    def _f(self, x, row):
+        return np.log(np.abs(x - self.SHIFTS[row])) + np.cos(3.0 * row * x)
+
+    def test_each_row_equals_its_solo_run(self):
+        tol = Tolerance(absolute=1e-10)
+        rows = integrate_panel_rows(self._f, self.ENDS, tol)
+        assert len(rows) == len(self.ENDS)
+        for k, (row, ends) in enumerate(zip(rows, self.ENDS)):
+            solo = integrate_panels_singular(
+                lambda x: self._f(x, np.full(x.shape, k)), [e for e in ends if e[0] < e[1]], tol)
+            assert abs(row.value - solo.value) <= 1e-15 * max(abs(solo.value), 1.0)
+            assert row.evaluations == solo.evaluations
+        assert len({r.evaluations for r in rows}) > 1  # rows stop at different levels
+
+    def test_stalled_row_raises_with_its_own_best_estimate(self):
+        def f(x, row):  # 1/x is not integrable on (0, 1)
+            return np.where(row == 1, 1.0 / x, np.log(x))
+
+        with pytest.raises(NoConvergenceError) as err:
+            integrate_panel_rows(f, [[(0.0, 1.0)], [(0.0, 1.0)]])
+        with pytest.raises(NoConvergenceError) as solo:
+            integrate_panels_singular(lambda x: 1.0 / x, [(0.0, 1.0)])
+        assert err.value.best == solo.value.best
+
+    @pytest.mark.parametrize("ends", [[(0.0, 1.0)], [[(1.0, 0.0)]], [[(0.0, math.inf)]]])
+    def test_rejects_malformed_rows(self, ends):
+        with pytest.raises(DegenerateInputError):
+            integrate_panel_rows(lambda x, row: x, ends)
+
+
 class TestQuadraticSolver:
     def test_cancellation_case(self):
         # classic catastrophic-cancellation example
@@ -170,3 +222,23 @@ class TestQuadraticSolver:
         for r in solve_quadratic_stable(a, b, c):
             scale = max(abs(a * r * r), abs(b * r), abs(c), 1.0)
             assert abs(a * r * r + b * r + c) / scale < 1e-9
+
+    def test_array_form_matches_scalar_form(self):
+        rng = np.random.default_rng(5)
+
+        def draw(n):
+            return (rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, n)
+                    + 1j * rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, n))
+
+        a, b, c = draw(2000), draw(2000), draw(2000)
+        c[::7] = 0.0
+        b[::11] = 0.0
+        roots = solve_quadratic_stable_array(a, b, c)
+        for i in range(a.size):
+            expected = solve_quadratic_stable(complex(a[i]), complex(b[i]), complex(c[i]))
+            for got, want in zip((roots[0][i], roots[1][i]), expected):
+                assert abs(got - want) <= 1e-15 * abs(want)
+
+    def test_array_form_rejects_zero_leading_coefficient(self):
+        with pytest.raises(DegenerateInputError):
+            solve_quadratic_stable_array(np.array([1.0, 0.0]), 1.0, 1.0)

@@ -1,10 +1,13 @@
 """L-series of the integral family curves and L'(E, 0).
 
-a_p comes from direct point counting over F_p; bad-prime coefficients
-use the count of nonsingular points, which lands in {1, -1, 0} according
-to split-multiplicative / nonsplit-multiplicative / additive reduction.
-The completed L-function is evaluated through the smoothed approximate
-functional equation with incomplete-gamma weights, and L'(E, 0) = Lambda(0).
+a_p comes from direct point counting over F_p, one numpy pass per prime:
+w(x) = 4x^3 + b2 x^2 + 2 b4 x + b6 mod p over all x, looked up in a table
+of the squares mod p.  Bad-prime coefficients use the count of nonsingular
+points, which lands in {1, -1, 0} according to split-multiplicative /
+nonsplit-multiplicative / additive reduction.  a_n follows in one pass over
+a smallest-prime-factor sieve.  The completed L-function is evaluated
+through the smoothed approximate functional equation, whose half-sums are
+array sums of incomplete-gamma weights, and L'(E, 0) = Lambda(0).
 
 The functional-equation sign is never taken from the literature: it is
 detected numerically by demanding that the approximate functional
@@ -17,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
 import scipy.special
 
 from .elliptic import WeierstrassCurve, deuring_curve
@@ -28,7 +32,7 @@ class NeedsOverrideError(ValueError):
 
 
 class InconsistentDataError(ValueError):
-    """Neither functional-equation sign fits: some a_p is wrong."""
+    """An a_p breaks the Hasse bound, or neither functional-equation sign fits."""
 
 
 class MissingPrimeError(KeyError):
@@ -69,13 +73,12 @@ class LSeries:
         return len(self.coefficients) - 1
 
 
-def _primes_up_to(m: int):
-    sieve = bytearray([1]) * (m + 1)
-    sieve[:2] = b"\x00\x00"
-    for i in range(2, int(math.isqrt(m)) + 1):
-        if sieve[i]:
-            sieve[i * i:: i] = bytearray(len(sieve[i * i:: i]))
-    return [i for i in range(2, m + 1) if sieve[i]]
+def _smallest_prime_factors(m: int) -> list:
+    """spf[n] for 0 <= n <= m; n >= 2 is prime exactly when spf[n] == n."""
+    spf = np.arange(m + 1)
+    for i in range(math.isqrt(m), 1, -1):
+        spf[i * i:: i] = i  # the smallest i dividing n with i^2 <= n is prime
+    return spf.tolist()
 
 
 def _int_coeffs(c: WeierstrassCurve):
@@ -87,35 +90,50 @@ def _int_coeffs(c: WeierstrassCurve):
     return coeffs
 
 
-def _affine_count(c: WeierstrassCurve, p: int) -> int:
-    a1, a2, a3, a4, a6 = (a % p for a in _int_coeffs(c))
+def _affine_count(coeffs, p: int) -> int:
+    """#{(x, y) in F_p^2 on the curve with integer a-invariants coeffs}."""
+    a1, a2, a3, a4, a6 = (a % p for a in coeffs)
     if p == 2:
         return sum(
             (y * y + a1 * x * y + a3 * y - (x**3 + a2 * x * x + a4 * x + a6)) % 2 == 0
             for x in (0, 1) for y in (0, 1)
         )
-    # complete the square: (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6
+    # complete the square: (2y + a1 x + a3)^2 = w(x) = 4x^3 + b2 x^2 + 2 b4 x + b6,
+    # so x carries 2 points when w is a nonzero square, 1 when w = 0, else 0;
+    # every int64 product stays below 5 p^2
     b2 = (a1 * a1 + 4 * a2) % p
     b4 = (2 * a4 + a1 * a3) % p
     b6 = (a3 * a3 + 4 * a6) % p
-    half = (p - 1) // 2
-    count = 0
-    for x in range(p):
-        w = (((4 * x + b2) * x + 2 * b4) * x + b6) % p
-        if w == 0:
-            count += 1
-        else:
-            count += 1 + (1 if pow(w, half, p) == 1 else -1)
-    return count
+    x = np.arange(p, dtype=np.int64)
+    w = (((4 * x + b2) * x % p + 2 * b4) * x + b6) % p
+    square = np.zeros(p, dtype=bool)
+    square[x * x % p] = True
+    return int(2 * np.count_nonzero(square[w]) - np.count_nonzero(w == 0))
+
+
+def _good_ap(coeffs, p: int) -> int:
+    a = p - _affine_count(coeffs, p)
+    if a * a > 4 * p:
+        raise InconsistentDataError(f"a_{p}={a} violates the Hasse bound")
+    return a
+
+
+def _bad_ap(coeffs, p: int):
+    a = p - _affine_count(coeffs, p)
+    kinds = {1: "split-multiplicative", -1: "nonsplit-multiplicative", 0: "additive"}
+    if a not in kinds:
+        raise NeedsOverrideError(
+            f"nonsingular count at p={p} gives a_p={a}; the model is likely "
+            "non-minimal there - supply an override"
+        )
+    return a, kinds[a]
 
 
 def ap_good(c: WeierstrassCurve, p: int) -> int:
     """a_p = p + 1 - #E(F_p) at a prime of good reduction."""
     if int(c.discriminant()) % p == 0:
         raise DegenerateInputError(f"p={p} divides the discriminant; use ap_bad")
-    a = p - _affine_count(c, p)
-    assert a * a <= 4 * p
-    return a
+    return _good_ap(_int_coeffs(c), p)
 
 
 def ap_bad(c: WeierstrassCurve, p: int):
@@ -127,14 +145,7 @@ def ap_bad(c: WeierstrassCurve, p: int):
     """
     if int(c.discriminant()) % p != 0:
         raise DegenerateInputError(f"p={p} is a good prime")
-    a = p - _affine_count(c, p)
-    kinds = {1: "split-multiplicative", -1: "nonsplit-multiplicative", 0: "additive"}
-    if a not in kinds:
-        raise NeedsOverrideError(
-            f"nonsingular count at p={p} gives a_p={a}; the model is likely "
-            "non-minimal there - supply an override"
-        )
-    return a, kinds[a]
+    return _bad_ap(_int_coeffs(c), p)
 
 
 def rescale_integral_model(c: WeierstrassCurve) -> WeierstrassCurve:
@@ -149,17 +160,19 @@ def rescale_integral_model(c: WeierstrassCurve) -> WeierstrassCurve:
 def ap_table(c: WeierstrassCurve, conductor: int, bound: int,
              overrides: dict | None = None) -> APTable:
     c = rescale_integral_model(c)
+    coeffs = _int_coeffs(c)
     disc = abs(int(c.discriminant()))
     ap = {}
     bad = {}
-    for p in _primes_up_to(bound):
+    spf = _smallest_prime_factors(bound)
+    for p in (n for n in range(2, bound + 1) if spf[n] == n):
         if overrides and p in overrides:
             ap[p] = overrides[p]
             if conductor % p == 0:
                 bad[p] = "override"
             continue
         if disc % p == 0:
-            a, kind = ap_bad(c, p)
+            a, kind = _bad_ap(coeffs, p)
             expected_additive = conductor % (p * p) == 0
             if expected_additive != (kind == "additive"):
                 raise NeedsOverrideError(
@@ -169,70 +182,56 @@ def ap_table(c: WeierstrassCurve, conductor: int, bound: int,
             ap[p] = a
             bad[p] = kind
         else:
-            ap[p] = ap_good(c, p)
+            ap[p] = _good_ap(coeffs, p)
     return APTable(c, ap, bad)
 
 
 def an_coefficients(apt: APTable, bound: int) -> list:
-    """a_1..a_bound from the prime table via Hecke multiplicativity."""
+    """a_1..a_bound from the prime table via Hecke multiplicativity.
+
+    One pass in n over a smallest-prime-factor sieve: with p = spf(n) and
+    p^k the full power of p in n, a_n = a_{p^k} a_{n/p^k} unless n = p^k,
+    where the Hecke recursion in k applies.
+    """
+    spf = _smallest_prime_factors(bound)
     a = [0] * (bound + 1)
+    power = [1] * (bound + 1)  # power[n] = p^k
     a[1] = 1
-    small = _primes_up_to(bound)
     for n in range(2, bound + 1):
-        m = n
-        val = 1
-        for p in small:
-            if p * p > m:
-                break
-            if m % p == 0:
-                k = 0
-                while m % p == 0:
-                    m //= p
-                    k += 1
-                val *= _prime_power_coeff(apt, p, k)
-        if m > 1:
-            val *= apt.ap[m] if m in apt.ap else _raise_missing(m)
-        a[n] = val
+        p = spf[n]
+        q = n // p
+        power[n] = p * power[q] if q % p == 0 else p
+        if power[n] != n:
+            a[n] = a[power[n]] * a[n // power[n]]
+        elif q == 1:
+            if p not in apt.ap:
+                raise MissingPrimeError(f"a_p missing for p={p}")
+            a[n] = apt.ap[p]
+        elif p in apt.bad:
+            a[n] = a[p] * a[q]
+        else:
+            a[n] = a[p] * a[q] - p * a[q // p]
     return a
 
 
-def _raise_missing(p):
-    raise MissingPrimeError(f"a_p missing for p={p}")
-
-
-def _prime_power_coeff(apt: APTable, p: int, k: int) -> int:
-    if p not in apt.ap:
-        _raise_missing(p)
-    ap = apt.ap[p]
-    if p in apt.bad:
-        return ap**k
-    prev, cur = 1, ap
-    for _ in range(k - 1):
-        prev, cur = cur, ap * cur - p * prev
-    return cur
-
-
-def _upper_gamma(s: float, x: float) -> float:
-    """Upper incomplete gamma for real s (including s <= 0), x > 0."""
+def _upper_gamma(s: float, x: np.ndarray) -> np.ndarray:
+    """Upper incomplete gamma for real s (including s <= 0), elementwise in x > 0."""
     if s > 0:
         return scipy.special.gammaincc(s, x) * scipy.special.gamma(s)
     if s == 0.0:
-        return float(scipy.special.exp1(x))
+        return scipy.special.exp1(x)
     # downward recurrence Gamma(s,x) = (Gamma(s+1,x) - x^s e^{-x}) / s
-    return (_upper_gamma(s + 1.0, x) - x**s * math.exp(-x)) / s
+    return (_upper_gamma(s + 1.0, x) - x**s * np.exp(-x)) / s
 
 
 def _half_sum(series: LSeries, s: float, cutoff: float, m: int) -> float:
-    """sum_{n<=m} a_n (sqrt(N)/(2 pi n))^s Gamma(s, 2 pi n t / sqrt(N))."""
+    """sum_{n<=m} a_n (sqrt(N)/(2 pi n))^s Gamma(s, 2 pi n t / sqrt(N)), over a_n != 0."""
     rtn = math.sqrt(series.conductor)
-    total = 0.0
-    for n in range(1, m + 1):
-        an = series.coefficients[n]
-        if an == 0:
-            continue
-        x = 2.0 * math.pi * n * cutoff / rtn
-        total += an * (rtn / (2.0 * math.pi * n)) ** s * _upper_gamma(s, x)
-    return total
+    a = np.array(series.coefficients[1:m + 1], dtype=float)
+    nonzero = np.flatnonzero(a)
+    n = nonzero + 1.0
+    x = 2.0 * math.pi * n * cutoff / rtn
+    return float(np.sum(a[nonzero] * (rtn / (2.0 * math.pi * n)) ** s * _upper_gamma(s, x)))
 
 
 def lambda_completed(series: LSeries, s: float, m: int | None = None,
@@ -243,9 +242,10 @@ def lambda_completed(series: LSeries, s: float, m: int | None = None,
     Lambda(s) = F_t(s) + eps F_{1/t}(2 - s) with the half-sums F as in
     _half_sum; independent of the cutoff t when eps is correct.
     """
-    m = m or series.bound
-    if m > series.bound:
-        raise DegenerateInputError("not enough coefficients for requested bound")
+    if m is None:
+        m = series.bound
+    if not 1 <= m <= series.bound:
+        raise DegenerateInputError(f"m={m} is outside 1..{series.bound}, the coefficients held")
     tail = math.exp(-2.0 * math.pi * m * min(cutoff, 1.0 / cutoff)
                     / math.sqrt(series.conductor))
     if tail > tol:
@@ -262,7 +262,6 @@ def epsilon_detect(conductor: int, coefficients: list, m: int | None = None) -> 
     For the true sign the approximate functional equation is independent
     of the splitting parameter; the wrong sign leaves an O(1) mismatch.
     """
-    m = m or len(coefficients) - 1
     best = {}
     for eps in (1, -1):
         trial = LSeries(conductor, eps, coefficients)

@@ -3,13 +3,17 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
+from regulab import lfunctions
 from regulab.elliptic import WeierstrassCurve, deuring_curve
 from regulab.lfunctions import (
     InconsistentDataError,
     MissingPrimeError,
     TABLE_ONE,
+    _affine_count,
+    _int_coeffs,
     an_coefficients,
     ap_bad,
     ap_good,
@@ -21,6 +25,9 @@ from regulab.lfunctions import (
     rescale_integral_model,
     table_one_lseries,
 )
+from regulab.numerics import DegenerateInputError
+
+PRIMES_TO_61 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61]
 
 
 def _brute_affine_count(c: WeierstrassCurve, p: int) -> int:
@@ -35,14 +42,84 @@ def _brute_affine_count(c: WeierstrassCurve, p: int) -> int:
     return n
 
 
+def _euler_affine_count(c: WeierstrassCurve, p: int) -> int:
+    """Per-x Euler-criterion counter: the scalar reference for the array counter."""
+    if p == 2:
+        return _brute_affine_count(c, 2)
+    a1, a2, a3, a4, a6 = (int(a) % p for a in (c.a1, c.a2, c.a3, c.a4, c.a6))
+    b2, b4, b6 = a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
+    count = 0
+    for x in range(p):
+        w = (((4 * x + b2) * x + 2 * b4) * x + b6) % p
+        count += 1 if w == 0 else 1 + (1 if pow(w, (p - 1) // 2, p) == 1 else -1)
+    return count
+
+
+def _reference_table(alpha: int, bound: int):
+    """(a_p, bad types, a_1..a_bound) by per-x counting and trial division."""
+    c = rescale_integral_model(deuring_curve(alpha))
+    disc = int(c.discriminant())
+    kinds = {1: "split-multiplicative", -1: "nonsplit-multiplicative", 0: "additive"}
+    primes = [p for p in range(2, bound + 1) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    ap = {p: p - _euler_affine_count(c, p) for p in primes}
+    bad = {p: kinds[ap[p]] for p in primes if disc % p == 0}
+    an = [0] * (bound + 1)
+    for n in range(1, bound + 1):
+        m, val = n, 1
+        for p in primes:
+            if p * p > m:
+                break
+            k = 0
+            while m % p == 0:
+                m, k = m // p, k + 1
+            prev, cur = 1, ap[p] if k else 1
+            for _ in range(k - 1):
+                prev, cur = cur, ap[p] * cur - (0 if p in bad else p) * prev
+            val *= cur
+        an[n] = val * (ap[m] if m > 1 else 1)
+    return ap, bad, an
+
+
 class TestPointCounts:
-    @pytest.mark.parametrize("alpha", [1, 7, -2])
-    @pytest.mark.parametrize("p", [5, 11, 13, 17])
-    def test_against_enumeration(self, alpha, p):
+    @pytest.mark.parametrize("alpha", sorted(TABLE_ONE))
+    @pytest.mark.parametrize("model", ["raw", "rescaled"])
+    def test_against_enumeration(self, alpha, model):
+        # every prime to 61, good and bad, 2 and 3 included
         c = deuring_curve(alpha)
-        if int(c.discriminant()) % p == 0:
-            pytest.skip("bad prime for this parameter")
-        assert ap_good(c, p) == p - _brute_affine_count(c, p)
+        if model == "rescaled":
+            c = rescale_integral_model(c)
+        for p in PRIMES_TO_61:
+            assert _affine_count(_int_coeffs(c), p) == _brute_affine_count(c, p), (alpha, p)
+
+    def test_cremona_11a1(self):
+        # LMFDB 11.a2: a_p for p = 2..37, split multiplicative at 11
+        c = WeierstrassCurve(0, -1, 1, -10, -20)
+        expected = dict(zip(PRIMES_TO_61[:12], [-2, -1, 1, -2, 1, 4, -2, 0, -1, 0, 7, 3]))
+        for p, a in expected.items():
+            assert _affine_count(_int_coeffs(c), p) == _brute_affine_count(c, p), p
+            if p != 11:
+                assert ap_good(c, p) == a, p
+        assert ap_bad(c, 11) == (1, "split-multiplicative")
+        apt = ap_table(c, 11, 37)
+        assert apt.ap == expected
+        assert apt.bad == {11: "split-multiplicative"}
+
+    def test_hasse_violation_raises(self, monkeypatch):
+        # an impossible count must raise in every mode, not only without -O
+        monkeypatch.setattr(lfunctions, "_affine_count", lambda coeffs, p: 0)
+        with pytest.raises(InconsistentDataError, match="Hasse"):
+            ap_good(deuring_curve(1), 13)
+        with pytest.raises(InconsistentDataError, match="a_5=5 violates the Hasse"):
+            ap_table(WeierstrassCurve(0, -1, 1, -10, -20), 11, 10)  # 2, 3, 5 all good
+
+    @pytest.mark.parametrize("alpha", sorted(TABLE_ONE))
+    def test_matches_scalar_reference(self, alpha):
+        ap, bad, an = _reference_table(alpha, 600)
+        apt = ap_table(deuring_curve(alpha), TABLE_ONE[alpha][1], 600)
+        assert apt.ap == ap
+        assert apt.bad == bad
+        assert an_coefficients(apt, 600) == an
+        assert epsilon_detect(TABLE_ONE[alpha][1], an) == 1
 
     def test_hasse_bound_all_catalogued_curves(self):
         for alpha in TABLE_ONE:
@@ -126,6 +203,27 @@ class TestCompletedL:
             v1 = lambda_completed(series14, s, cutoff=1.0)
             v2 = lambda_completed(series14, s, cutoff=1.35)
             assert abs(v1 - v2) < 1e-8, s
+
+    def test_lambda_zero_against_mpmath(self, series14):
+        # 30-digit half-sums: Lambda(0) = F_1(0) + eps F_1(2)
+        with mpmath.workdps(30):
+            rtn = mpmath.sqrt(series14.conductor)
+
+            def half(s):
+                return mpmath.fsum(
+                    an * (rtn / (2 * mpmath.pi * n)) ** s
+                    * mpmath.gammainc(s, 2 * mpmath.pi * n / rtn)
+                    for n, an in enumerate(series14.coefficients) if n and an)
+
+            ref = half(0) + series14.epsilon * half(2)
+        assert abs(lambda_completed(series14, 0.0) - ref) < 1e-13 * abs(ref)
+
+    @pytest.mark.parametrize("m", [0, -5])
+    def test_rejects_nonpositive_m(self, series14, m):
+        with pytest.raises(DegenerateInputError, match=f"m={m}"):
+            lambda_completed(series14, 0.0, m=m)
+        with pytest.raises(DegenerateInputError, match=f"m={m}"):
+            epsilon_detect(series14.conductor, series14.coefficients, m)
 
     def test_truncation_stability(self, series14):
         v1 = lambda_completed(series14, 0.0, m=200)

@@ -3,9 +3,9 @@
 The chord-tangent group law is implemented generically, so it is exact on
 Fraction coordinates and works unchanged on float/complex ones.  Period
 lattices come from Carlson symmetric integrals on the shifted cubic
-(2y+a1*x+a3)^2 = 4x^3+b2*x^2+2*b4*x+b6; the elliptic logarithm inverts
-the Abel map u = int dx/(2y+a1*x+a3) for real points via the same
-integrals and for complex points via branch-tracked path integration.
+(2y+a1*x+a3)^2 = 4x^3+b2*x^2+2*b4*x+b6, and so does the elliptic
+logarithm: the Abel map u = int dx/(2y+a1*x+a3) from infinity to any
+finite point, real or complex, is one R_F along a ray to infinity.
 
 Model bundles for the four polynomial families record the Weierstrass
 target, the intermediate genus-2 quotient cubic, and the coordinate
@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 import scipy.special
 
-from .numerics import DegenerateInputError, integrate_endpoint_singular, Tolerance
+from .numerics import DegenerateInputError
 
 
 class SingularModelError(ValueError):
@@ -214,210 +214,68 @@ def period_lattice(c: WeierstrassCurve) -> PeriodLattice:
     return PeriodLattice(complex(omega1), omega2, tau, q, roots, rectangular)
 
 
-def _j_from_q(q: complex, terms: int = 40) -> complex:
-    """j(tau) from the q-expansion of E4^3/Delta; used as a lattice self-check."""
-
-    def sigma3(n):
-        return sum(d**3 for d in range(1, n + 1) if n % d == 0)
-
-    e4 = 1.0 + 0j
-    qn = 1.0 + 0j
-    for n in range(1, terms):
-        qn *= q
-        e4 += 240.0 * sigma3(n) * qn
-    delta = q
-    qn = 1.0 + 0j
-    for n in range(1, terms):
-        qn *= q
-        delta *= (1.0 - qn) ** 24
-    return e4**3 / delta
-
-
-def lattice_self_check(c: WeierstrassCurve, lat: PeriodLattice, tol: float = 1e-8) -> float:
-    """|j(q-series at lat.q) - j(curve)| / (1+|j|); small iff the basis is right."""
-    j_alg = complex(c.j_invariant())
-    j_ser = _j_from_q(lat.q)
-    return abs(j_ser - j_alg) / (1.0 + abs(j_alg))
-
-
 # ---------------------------------------------------------------------------
 # elliptic logarithm
 # ---------------------------------------------------------------------------
 
 
-def _branch_cubic(c: WeierstrassCurve):
-    b2, b4, b6, _ = (float(v) for v in c.b_invariants())
-
-    def q(x):
-        return ((4.0 * x + b2) * x + 2.0 * b4) * x + b6
-
-    return q, (b2, b4, b6)
-
-
-def _log_real_identity(c, lat, x, w):
-    # x >= leading root: u0 = int_x^oo dt/sqrt(q(t)) in (0, omega1/2)
-    r1, r2, r3 = lat.roots
-    u0 = _rf(x - r1, x - r2, x - r3).real
-    # orientation: du = dx/w; on the outgoing half (w > 0) x increases with u
-    return lat.omega1 - u0 if w > 0 else u0
-
-
-def _log_real_egg(c, lat, x, w, tol):
-    # bounded real component r3 <= x <= r2 (rectangular lattices only)
-    r1, r2, r3 = lat.roots
-    q, _ = _branch_cubic(c)
-
-    def f(off_lo, off_hi):
-        t = r3 + off_lo
-        val = (off_lo * (r2 - t)) * (4.0 * (r1 - t))
-        if val <= 0:
-            val = abs(q(t))
-        return 1.0 / math.sqrt(val)
-
-    if x - r3 < 1e-14 * (1.0 + abs(r3)):
-        seg = 0.0
-    else:
-        seg = integrate_endpoint_singular(
-            f, 0.0, x - r3, Tolerance(absolute=tol), offsets=True
-        ).value
-    u = 0.5 * lat.omega2 + (seg if w > 0 else -seg)
-    return u
-
-
-def _g_poly(c):
-    # x = 1/s^2 turns q(x) dx-integrals into ds-integrals against sqrt(g):
-    # g(s) = 4 + b2 s^2 + 2 b4 s^4 + b6 s^6, g(0) = 4
-    b2, b4, b6, _ = (float(v) for v in c.b_invariants())
-
-    def g(s):
-        s2 = s * s
-        return 4.0 + s2 * (b2 + s2 * (2.0 * b4 + s2 * b6))
-
-    roots = np.roots([b6, 0, 2.0 * b4, 0, b2, 0, 4.0]) if b6 != 0 else (
-        np.roots([2.0 * b4, 0, b2, 0, 4.0]) if b4 != 0 else np.roots([b2, 0, 4.0])
-    )
-    return g, [complex(r) for r in np.atleast_1d(roots)]
-
-
-def _segment_needs_detour(z0, z1, bad, margin):
-    # distance from each bad point to segment [z0, z1]
-    d = z1 - z0
-    L2 = abs(d) ** 2
-    for b in bad:
-        if L2 == 0:
-            dist = abs(b - z0)
-        else:
-            t = max(0.0, min(1.0, ((b - z0) * d.conjugate()).real / L2))
-            dist = abs(b - (z0 + t * d))
-        if dist < margin:
-            return True
-    return False
-
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
-
-
-def _integrate_branch_tracked(g, z0, z1, sqrt0, n_seg=64):
-    """int_{z0}^{z1} ds/sqrt(g(s)) with the sqrt branch continued from sqrt0.
-
-    Returns (integral, sqrt at z1).  The path is the straight segment,
-    subdivided; within each panel the branch follows the previous sample.
-    """
-    total = 0.0 + 0.0j
-    prev = sqrt0
-    for k in range(n_seg):
-        a = z0 + (z1 - z0) * (k / n_seg)
-        b = z0 + (z1 - z0) * ((k + 1) / n_seg)
-        half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        acc = 0.0 + 0.0j
-        for t, w in zip(_GL_NODES, _GL_WEIGHTS):
-            s = mid + half * t
-            root = cmath.sqrt(g(s))
-            if abs(root - prev) > abs(root + prev):
-                root = -root
-            prev = root
-            acc += w / root
-        total += half * acc
-    # branch value at the endpoint itself
-    root = cmath.sqrt(g(z1))
-    if abs(root - prev) > abs(root + prev):
-        root = -root
-    return total, root
-
-
-def _log_complex(c, lat, x, y):
-    """u = int_oo^P dx/(2y+a1 x+a3) via the s = 1/sqrt(x) substitution."""
-    g, g_roots = _g_poly(c)
-    s0 = 1.0 / cmath.sqrt(complex(x))
-    bad = [r for r in g_roots if abs(r) < 2.0 * abs(s0) + 1.0]
-    margin = 0.08 * max(abs(s0), 1e-3)
-    if _segment_needs_detour(0.0 + 0.0j, s0, bad, margin):
-        # detour through a sideways midpoint
-        perp = 1j * s0 / abs(s0)
-        for sign in (1.0, -1.0):
-            m = 0.5 * s0 + sign * perp * 4.0 * margin
-            if not (
-                _segment_needs_detour(0.0 + 0.0j, m, bad, margin)
-                or _segment_needs_detour(m, s0, bad, margin)
-            ):
-                break
-        else:
-            m = 0.5 * s0 + perp * 8.0 * margin
-        i1, mid_sqrt = _integrate_branch_tracked(g, 0.0 + 0.0j, m, 2.0 + 0.0j)
-        i2, end_sqrt = _integrate_branch_tracked(g, m, s0, mid_sqrt)
-        integral = i1 + i2
-    else:
-        integral, end_sqrt = _integrate_branch_tracked(g, 0.0 + 0.0j, s0, 2.0 + 0.0j)
-    w = 2 * complex(y) + complex(c.a1) * complex(x) + complex(c.a3)
-    # on the chosen branch, w = +- end_sqrt / s0^3; the sign decides du = +-ds
-    target = end_sqrt / s0**3
-    if abs(w + target) < abs(w - target):
-        u = 2.0 * integral
-    else:
-        u = -2.0 * integral
-    return u
-
-
 def reduce_mod_lattice(u: complex, lat: PeriodLattice) -> complex:
-    """Representative of u with lattice coordinates in [0, 1)."""
+    """Representative of u with lattice coordinates in [0, 1).
+
+    A coordinate within 1e-12 of an integer becomes exactly 0, so rounding
+    noise cannot carry u across an edge of the parallelogram; in
+    particular the log of a real point on the identity component is real.
+    """
     u = complex(u)
     # solve u = a*omega1 + b*omega2 over R as a 2x2 system on (Re, Im)
     w1, w2 = lat.omega1, lat.omega2
     m = np.array([[w1.real, w2.real], [w1.imag, w2.imag]])
-    a, b = np.linalg.solve(m, [u.real, u.imag])
-    a -= math.floor(a + 1e-12)
-    b -= math.floor(b + 1e-12)
+    a, b = (0.0 if abs(t - round(t)) < 1e-12 else t - math.floor(t)
+            for t in np.linalg.solve(m, [u.real, u.imag]))
     return a * w1 + b * w2
 
 
-def elliptic_log(c: WeierstrassCurve, lat: PeriodLattice, p: CurvePoint,
-                 tol: float = 1e-12) -> complex:
-    """u in C/Lambda with P = (x(u), y(u)) under the Abel map; u(O) = 0."""
+# rays x + d*s (s >= 0) along which the Abel integral is a Carlson R_F
+_RAYS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+
+
+def _log_rf(lat: PeriodLattice, x: complex, w: complex) -> complex:
+    """u = int_oo^P dx/w in closed form (DLMF 19.25(vi)), reduced mod the lattice.
+
+    Along the ray x + d*s to infinity, w^2 = 4 prod(x - e_i) continues as
+    B(s) = 2 d^(3/2) prod sqrt((x - e_i)/d + s), and int_P^oo dx/B is
+    d^(-1/2) R_F((x - e_i)/d).  scipy's R_F is undefined with an argument on
+    the negative real axis, so d is the ray of {1, i, -1, -i} that keeps all
+    three farthest from it (at least pi/4 away).  Then u is -int_P^oo dx/B
+    where w = B(0), and +int_P^oo dx/B where w = -B(0).
+    """
+    if abs(w) < 1e-9 * (1 + abs(x)) ** 1.5:
+        # 2-torsion: one argument exactly 0, which R_F resolves to full precision
+        x = min(lat.roots, key=lambda e: abs(x - e))
+
+    def clearance(d):  # least angle between an argument and the negative real axis
+        return min(math.pi - abs(cmath.phase((x - e) / d)) for e in lat.roots)
+
+    d = max(_RAYS, key=clearance)
+    args = [(x - e) / d for e in lat.roots]
+    root_d = cmath.sqrt(d)
+    u0 = _rf(*args) / root_d
+    branch = 2.0 * root_d**3 * math.prod(cmath.sqrt(a) for a in args)
+    return reduce_mod_lattice(u0 if abs(w + branch) < abs(w - branch) else -u0, lat)
+
+
+def elliptic_log(c: WeierstrassCurve, lat: PeriodLattice, p: CurvePoint) -> complex:
+    """u in C/Lambda with P = (x(u), y(u)) under the Abel map u = int_oo^P dx/w; u(O) = 0.
+
+    Here w = 2y + a1*x + a3.  The representative has lattice coordinates
+    in [0, 1) (``reduce_mod_lattice``).
+    """
     if p.infinity:
         return 0.0 + 0.0j
     if not c.contains(p):
         raise OffCurveError("point not on curve")
-    x, y = complex(p.x), complex(p.y)
-    w = 2 * y + complex(c.a1) * x + complex(c.a3)
-    r1 = lat.roots[0]
-    real_pt = abs(x.imag) < 1e-12 * (1 + abs(x)) and abs(y.imag) < 1e-12 * (1 + abs(y))
-    if real_pt and x.real >= r1 - 1e-12 * (1 + abs(r1)):
-        if abs(w) < 1e-9 * (1 + abs(x)) ** 1.5 and abs(x.real - r1) < 1e-9 * (1 + abs(r1)):
-            return 0.5 * lat.omega1  # 2-torsion on the identity component
-        u = _log_real_identity(c, lat, x.real, w.real)
-        return complex(u)
-    if real_pt and lat.rectangular:
-        e1, e2, e3 = lat.roots
-        if e3 - 1e-9 * (1 + abs(e3)) <= x.real <= e2 + 1e-9 * (1 + abs(e2)):
-            if abs(w) < 1e-9 * (1 + abs(x)) ** 1.5:
-                # 2-torsion on the egg
-                if abs(x.real - e3) < abs(x.real - e2):
-                    return 0.5 * lat.omega2
-                return 0.5 * lat.omega2 + 0.5 * lat.omega1
-            xr = min(max(x.real, e3), e2)
-            return reduce_mod_lattice(_log_real_egg(c, lat, xr, w.real, tol), lat)
-    return reduce_mod_lattice(_log_complex(c, lat, x, y), lat)
+    x = complex(p.x)
+    return _log_rf(lat, x, 2 * complex(p.y) + complex(c.a1) * x + complex(c.a3))
 
 
 def q_point(c: WeierstrassCurve, lat: PeriodLattice, p: CurvePoint):

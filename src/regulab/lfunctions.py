@@ -129,8 +129,15 @@ def _bad_ap(coeffs, p: int):
     return a, kinds[a]
 
 
+def _require_prime(p) -> None:
+    is_int = isinstance(p, (int, np.integer))
+    if not (is_int and p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))):
+        raise DegenerateInputError(f"p={p} is not a prime")
+
+
 def ap_good(c: WeierstrassCurve, p: int) -> int:
     """a_p = p + 1 - #E(F_p) at a prime of good reduction."""
+    _require_prime(p)
     if int(c.discriminant()) % p == 0:
         raise DegenerateInputError(f"p={p} divides the discriminant; use ap_bad")
     return _good_ap(_int_coeffs(c), p)
@@ -143,6 +150,7 @@ def ap_bad(c: WeierstrassCurve, p: int):
     solutions and dropping the unique singular point decides the type:
     a_p = 1 split multiplicative, -1 nonsplit, 0 additive.
     """
+    _require_prime(p)
     if int(c.discriminant()) % p != 0:
         raise DegenerateInputError(f"p={p} is a good prime")
     return _bad_ap(_int_coeffs(c), p)

@@ -8,7 +8,9 @@ with the branch-label-free integrand (no choice of "the large root" is
 ever needed).  Quadrature panels are split at torus zeros of A, at
 angles where a root crosses the unit circle, and at discriminant
 collisions, all taken from the exact unit-circle roots of polynomials
-in x (A, B^2 - 4AC, and the resultant of P with its reciprocal).  A
+in x (A, B^2 - 4AC, and the resultant of P with its reciprocal).  Each
+panel is a row of one batched tanh-sinh call, and the integrand takes
+the y-roots of a whole refinement level of theta nodes at once.  A
 slower direct two-dimensional torus quadrature cross-validates the
 result.  Its integrand is log|P| sampled directly; the y-roots only
 place the ends of its inner phi panels, and its outer rule uses the same
@@ -134,14 +136,6 @@ def _torus_roots(p: BivariatePoly, theta: float):
     return ()
 
 
-def _positive_log_sum(p: BivariatePoly, theta: float) -> float:
-    total = 0.0
-    for r in _torus_roots(p, theta):
-        if r != 0:
-            total += max(math.log(abs(r)), 0.0)
-    return total
-
-
 # np.roots resolves a double root only to about sqrt(eps) ~ 1e-8, so a root
 # this close to |x| = 1 counts as on it, and kinks this close together count
 # as one; a boundary next to a near-kink is harmless.
@@ -214,11 +208,13 @@ def mahler_quadratic_y(p: BivariatePoly, tol: Tolerance = Tolerance(absolute=1e-
     base = jensen_univariate(list(reversed(p.leading_y_coeff)))
     panels = split_angles(p)
     per_panel = Tolerance(absolute=max(tol.absolute / max(len(panels), 1), 1e-14))
-    total = 0.0
-    for lo, hi in zip(panels[:-1], panels[1:]):
-        total += integrate_endpoint_singular(
-            lambda th: _positive_log_sum(p, th), lo, hi, per_panel
-        ).value
+
+    def positive_log_sum(theta, row):
+        a, b, c = np.broadcast_arrays(*p.coeffs_at(np.exp(1j * theta)))
+        return np.log(np.maximum(np.abs(_root_rows(p, a, b, c)), 1.0)).sum(axis=1)
+
+    ends = [[(lo, hi)] for lo, hi in zip(panels[:-1], panels[1:])]
+    total = sum(r.value for r in integrate_panel_rows(positive_log_sum, ends, per_panel))
     # real coefficients: the [pi, 2pi] half mirrors [0, pi]
     return base + total / math.pi
 

@@ -336,14 +336,6 @@ MAP_IDS = (
 )
 
 
-def involution_map(alpha: float, s: float) -> float:
-    """s -> (1-s)/(1+alpha s); an involution wherever it is defined."""
-    den = 1.0 + alpha * s
-    if den == 0.0:
-        raise MapDomainError(f"involution pole at s={s}")
-    return (1.0 - s) / den
-
-
 def change_of_variable_check(map_id: str, param: float,
                              tol: Tolerance = Tolerance(absolute=1e-8)) -> ResidualReport:
     """Recompute both sides of one substitution identity independently."""

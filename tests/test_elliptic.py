@@ -2,9 +2,11 @@
 
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from regulab.elliptic import (
     CurvePoint,
@@ -16,7 +18,6 @@ from regulab.elliptic import (
     elliptic_log,
     family_models,
     group_op,
-    lattice_self_check,
     multiply,
     negate,
     period_lattice,
@@ -25,6 +26,31 @@ from regulab.elliptic import (
     reduce_mod_lattice,
 )
 from regulab.numerics import Tolerance, integrate_endpoint_singular
+
+
+def _j_from_q(q: complex, terms: int = 40) -> complex:
+    """j(tau) from the q-expansion of E4^3/Delta."""
+
+    def sigma3(n):
+        return sum(d**3 for d in range(1, n + 1) if n % d == 0)
+
+    e4 = 1.0 + 0j
+    qn = 1.0 + 0j
+    for n in range(1, terms):
+        qn *= q
+        e4 += 240.0 * sigma3(n) * qn
+    delta = q
+    qn = 1.0 + 0j
+    for n in range(1, terms):
+        qn *= q
+        delta *= (1.0 - qn) ** 24
+    return e4**3 / delta
+
+
+def lattice_self_check(c: WeierstrassCurve, lat) -> float:
+    """|j(q-series at lat.q) - j(curve)| / (1+|j|); small iff the basis is right."""
+    j_alg = complex(c.j_invariant())
+    return abs(_j_from_q(lat.q) - j_alg) / (1.0 + abs(j_alg))
 
 
 class TestCurveBasics:
@@ -117,6 +143,116 @@ class TestEllipticLog:
         lat = period_lattice(c)
         qp = q_point(c, lat, CurvePoint(3.0, 3.0))
         assert abs(lat.q) < abs(qp.z) <= 1.0
+
+
+# family curves: P and S live on the Deuring curve, Q and R on the quartic twist
+# (R at beta sits at alpha = beta - 2); rhombic and rectangular lattices both occur
+ORACLE_CURVES = {
+    **{f"deuring{a}": deuring_curve(a) for a in (3.0, -2.0, 7.0, 0.5, 20.0, 12.0, -5.0)},
+    **{f"twist{a}": quartic_twist_curve(a) for a in (5.0, 2.0, 9.561, 0.5)},
+}
+
+
+def _point(c, x, sign):
+    """A point of c above x; ``sign`` picks the branch of w = 2y + a1 x + a3."""
+    b = c.a1 * x + c.a3
+    return CurvePoint(x, (-b + sign * cmath.sqrt(b * b + 4 * c.rhs(x))) / 2)
+
+
+def _scale(lat) -> float:
+    return 1.0 + max(abs(e) for e in lat.roots)
+
+
+def _lattice_distance(u, lat) -> float:
+    """Distance from u to the nearest corner of its fundamental parallelogram."""
+    r = reduce_mod_lattice(u, lat)
+    return min(abs(r - m * lat.omega1 - n * lat.omega2) for m in (0, 1) for n in (0, 1))
+
+
+def _wp_pair(u, lat):
+    """(wp(u), wp'(u)) on lat from the q-expansion of Silverman, Advanced Topics, Thm I.6.2.
+
+    With z = e^{2 pi i u/omega1} and f(t) = t/(1-t)^2,
+    wp = (2 pi i/omega1)^2 [1/12 + sum_{n in Z} f(q^n z) - 2 sum_{n>=1} q^n/(1-q^n)^2];
+    wp' differentiates it termwise, using f(1/t) = f(t) and g(1/t) = -g(t)
+    for g(t) = t(1+t)/(1-t)^3 = t f'(t).  Needs |q| < |z| <= 1.
+    """
+    k = 2j * math.pi / lat.omega1
+    z = cmath.exp(k * u)
+
+    def f(t):
+        return t / (1 - t) ** 2
+
+    def g(t):
+        return t * (1 + t) / (1 - t) ** 3
+
+    wp, dwp = 1 / 12 + f(z), g(z)
+    qn = 1.0
+    for _ in range(400):
+        qn *= lat.q
+        wp += f(qn * z) + f(qn / z) - 2 * qn / (1 - qn) ** 2
+        dwp += g(qn * z) - g(qn / z)
+        if abs(qn / z) < 1e-18:
+            break
+    return k * k * wp, k**3 * dwp
+
+
+class TestEllipticLogOracles:
+    @pytest.mark.parametrize("c", list(ORACLE_CURVES.values()), ids=list(ORACLE_CURVES))
+    def test_inverts_wp(self, c):
+        # P = (wp(u) - b2/12, wp'(u)) on the shifted cubic w^2 = 4x^3 + b2 x^2 + 2 b4 x + b6
+        lat = period_lattice(c)
+        b2 = c.b_invariants()[0]
+        rng = random.Random(7)
+        s = _scale(lat)
+        xs = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) * s for _ in range(20)]
+        xs += [lat.roots[0].real - rng.uniform(1e-3, 3) * s for _ in range(5)]
+        for x in xs:
+            p = _point(c, x, rng.choice((1, -1)))
+            w = 2 * p.y + c.a1 * x + c.a3
+            wp, dwp = _wp_pair(elliptic_log(c, lat, p), lat)
+            assert abs(wp - b2 / 12 - x) < 1e-12 * (abs(x) + abs(b2) / 12), x
+            assert abs(dwp - w) < 1e-12 * abs(w), x
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from(list(ORACLE_CURVES.values())),
+        st.tuples(st.floats(-3, 3), st.floats(-3, 3), st.sampled_from((1, -1))),
+        st.tuples(st.floats(1e-3, 3), st.floats(-3, 3), st.sampled_from((1, -1))),
+        st.booleans(),
+    )
+    def test_homomorphism_on_complex_and_left_of_root_points(self, c, p_at, q_at, q_real):
+        # Q is real with x left of the leading real root (w imaginary, or on
+        # the bounded real component) or complex; the chord-tangent law must
+        # map to addition, and negation to negation, mod the lattice
+        lat = period_lattice(c)
+        s = _scale(lat)
+        p = _point(c, complex(p_at[0], p_at[1]) * s, p_at[2])
+        x_q = lat.roots[0].real - q_at[0] * s if q_real else complex(q_at[0], q_at[1]) * s
+        q = _point(c, x_q, q_at[2])
+        assume(abs(p.x - q.x) > 1e-2 * s)  # the chord slope stays well conditioned
+        u_p, u_q = elliptic_log(c, lat, p), elliptic_log(c, lat, q)
+        tol = 1e-10 * abs(lat.omega1)
+        assert _lattice_distance(elliptic_log(c, lat, group_op(c, p, q)) - u_p - u_q, lat) < tol
+        for pt, u in ((p, u_p), (q, u_q)):
+            assert _lattice_distance(elliptic_log(c, lat, negate(c, pt)) + u, lat) < tol
+
+    @pytest.mark.parametrize("c", list(ORACLE_CURVES.values()), ids=list(ORACLE_CURVES))
+    def test_real_identity_component_logs_are_real(self, c):
+        # rounding noise in Im u would move the q-point off |z| = 1 and change
+        # which q-translates the truncated elliptic dilogarithm sums
+        lat = period_lattice(c)
+        rng = random.Random(3)
+        for _ in range(20):
+            x = lat.roots[0].real + rng.uniform(1e-3, 3) * _scale(lat)
+            assert elliptic_log(c, lat, _point(c, x, rng.choice((1, -1)))).imag == 0.0
+
+    @pytest.mark.parametrize("c", list(ORACLE_CURVES.values()), ids=list(ORACLE_CURVES))
+    def test_two_torsion_gives_the_half_periods(self, c):
+        lat = period_lattice(c)
+        logs = [elliptic_log(c, lat, CurvePoint(e, -(c.a1 * e + c.a3) / 2)) for e in lat.roots]
+        for half in (lat.omega1 / 2, lat.omega2 / 2, (lat.omega1 + lat.omega2) / 2):
+            assert min(_lattice_distance(u - half, lat) for u in logs) < 1e-14 * abs(lat.omega1)
 
 
 class TestFamilyModels:

@@ -145,6 +145,13 @@ class TestPointCounts:
         with pytest.raises(Exception):
             ap_good(c, 3)
 
+    @pytest.mark.parametrize("p", [9, 15, 1, 0, -5])
+    def test_non_prime_rejected(self, p):
+        c = deuring_curve(1)
+        for fn in (ap_good, ap_bad):
+            with pytest.raises(DegenerateInputError, match=f"p={p}"):
+                fn(c, p)
+
     def test_bad_prime_returns_unit_trace(self):
         c = deuring_curve(1)  # conductor 14
         a, kind = ap_bad(c, 7)

@@ -13,9 +13,16 @@ from regulab.periods import (
     change_of_variable_check,
     cycle_integral,
     cycle_vs_lattice,
-    involution_map,
     verify_period_identity,
 )
+
+
+def involution_map(alpha: float, s: float) -> float:
+    """s -> (1-s)/(1+alpha s), the "mobius-involution" substitution; its own inverse."""
+    den = 1.0 + alpha * s
+    if den == 0.0:
+        raise MapDomainError(f"involution pole at s={s}")
+    return (1.0 - s) / den
 
 
 class TestCycleIntegral:

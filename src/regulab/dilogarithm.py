@@ -18,10 +18,6 @@ from .numerics import Tolerance
 
 _PI2_6 = math.pi * math.pi / 6.0
 
-# max of |D| on C, attained at the primitive 6th root of unity; used in
-# truncation tail bounds only
-D_MAX = 1.0149416064096537
-
 
 class IllConditionedLatticeError(ValueError):
     pass
@@ -132,18 +128,42 @@ def bloch_wigner(z: complex) -> float:
     z = complex(z)
     if z.imag == 0.0:
         return 0.0
-    return li2(z).imag + cmath.phase(1.0 - z) * math.log(abs(z))
+    w = 1.0 - z  # cmath.phase raises OverflowError where this angle underflows
+    return li2(z).imag + math.atan2(w.imag, w.real) * math.log(abs(z))
+
+
+def _tail_terms(aq: float, tol: float) -> int:
+    """Terms per side after which the two-sided sum for D^E is within tol.
+
+    For |w| = r <= 1/4, |Im Li2(w)| <= |Im w| log(1/(1-r)) / r (from
+    |Im w^k| <= k r^(k-1) |Im w|) and |arg(1-w)| <= 1.02 |Im w| / (1-r), so
+    |D(w)| <= 1.4 r (1 + log(1/r)), which grows with r.  Past n terms the
+    forward sum has |w| <= |q|^m for m > n and, by D(1/w) = -D(w), the
+    backward sum has |1/w| < |q|^m for m >= n.  So with |q|^n <= 1/4 and
+    L = log(1/|q|), 1.4 times
+    sum_{m >= k} |q|^m (1 + m L) = |q|^k (1 + L (k + |q|/(1-|q|))) / (1-|q|)
+    bounds the forward tail at k = n + 1 and the backward one at k = n.
+    """
+    big_l = -math.log(aq)
+
+    def tail(k):
+        return aq**k * (1 + big_l * (k + aq / (1 - aq))) / (1 - aq)
+
+    # n is at least where the first term of the bound, 1.4 |q|^n / (1-|q|), meets tol
+    n = max(4, math.ceil(math.log(4) / big_l),
+            math.ceil(math.log(tol * (1 - aq) / 1.4) / -big_l))
+    while 1.4 * (tail(n) + tail(n + 1)) > tol:
+        n += 1
+    return n
 
 
 def elliptic_dilog(p: QPoint, tol: Tolerance = Tolerance(absolute=1e-12)) -> float:
-    """Two-sided sum D^E(z) = sum_n D(q^n z), truncated by a geometric tail bound."""
+    """Two-sided sum D^E(z) = sum_n D(q^n z), truncated by a tail bound (``_tail_terms``)."""
     q, z = p.q, p.z
     aq = abs(q)
     if aq >= 1 - 1e-12:
         raise IllConditionedLatticeError(f"|q|={aq} too close to 1")
-    # |D(w)| <= D_MAX and terms decay like |q|^n; bound the tail crudely by
-    # D_MAX |q|^N / (1-|q|) and push N a little past that.
-    n_tail = max(4, math.ceil(math.log(tol.absolute * (1 - aq) / D_MAX) / math.log(aq)))
+    n_tail = _tail_terms(aq, tol.absolute)
     total = bloch_wigner(z)
     w = z
     for _ in range(n_tail):

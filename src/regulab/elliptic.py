@@ -254,7 +254,9 @@ def _log_rf(lat: PeriodLattice, x: complex, w: complex) -> complex:
         x = min(lat.roots, key=lambda e: abs(x - e))
 
     def clearance(d):  # least angle between an argument and the negative real axis
-        return min(math.pi - abs(cmath.phase((x - e) / d)) for e in lat.roots)
+        # cmath.phase raises OverflowError where the angle underflows
+        return min(math.pi - abs(math.atan2(z.imag, z.real))
+                   for z in ((x - e) / d for e in lat.roots))
 
     d = max(_RAYS, key=clearance)
     args = [(x - e) / d for e in lat.roots]

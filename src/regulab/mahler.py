@@ -9,24 +9,27 @@ ever needed).  Quadrature panels are split at torus zeros of A, at
 angles where a root crosses the unit circle, and at discriminant
 collisions, all taken from the exact unit-circle roots of polynomials
 in x (A, B^2 - 4AC, and the resultant of P with its reciprocal).  Each
-panel is a row of one batched tanh-sinh call, and the integrand takes
-the y-roots of a whole refinement level of theta nodes at once.  A
-slower direct two-dimensional torus quadrature cross-validates the
-result.  Its integrand is log|P| sampled directly; the y-roots only
-place the ends of its inner phi panels, and its outer rule uses the same
-theta panels.  Each outer refinement level is one array of theta nodes,
-whose inner phi integrals run side by side as rows of one batched
-tanh-sinh call.
+panel is a row of one batched tanh-sinh call; its first integrand call
+covers refinement levels 0-3 of every panel, and each later call one
+further level.  The integrand evaluates A, B, C on all theta nodes of a
+call by one Horner pass and takes sum_i log+|y_i| from the moduli of
+the quadratic formula, without forming the roots.  A slower direct
+two-dimensional torus quadrature cross-validates the result.  Its
+integrand is log|P| sampled directly; the y-roots only place the ends
+of its inner phi panels, and its outer rule uses the same theta panels.
+Each outer integrand call is one array of theta nodes (levels 0-3, then
+one level at a time), whose inner phi integrals run side by side as rows
+of one batched tanh-sinh call.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npp
 
 from .numerics import (
     DegenerateInputError,
@@ -58,7 +61,9 @@ class FamilySpec:
 class BivariatePoly:
     """sum_j y^j * (row_j polynomial in x), y-degree <= 2.
 
-    rows[j] lists ascending-power x coefficients of the y^j coefficient.
+    rows[j] lists ascending-power x coefficients of the y^j coefficient;
+    ``matrix[k, j]`` is the coefficient of x^k y^j, with three columns
+    whatever the y-degree.
     """
 
     def __init__(self, rows):
@@ -70,27 +75,28 @@ class BivariatePoly:
         if len(rows) > 3:
             raise DegenerateInputError("y-degree must be <= 2")
         self.rows = rows
+        self.matrix = np.zeros((max(map(len, rows)), 3))
+        for j, r in enumerate(rows):
+            self.matrix[:len(r), j] = r
 
     @property
     def y_degree(self) -> int:
         return len(self.rows) - 1
 
-    @property
-    def leading_y_coeff(self):
-        """P*(x): ascending coefficients of the top y-power row."""
-        return list(self.rows[-1])
+    @functools.cached_property
+    def leading_roots(self) -> np.ndarray:
+        """Roots in x of P*(x), the top y-power row; found once for m(P*) and split_angles."""
+        return _roots(self.rows[-1])
 
-    def row_at(self, j: int, x: complex) -> complex:
-        acc = 0.0 + 0.0j
-        for c in reversed(self.rows[j]):
-            acc = acc * x + c
-        return acc
-
-    def coeffs_at(self, x: complex):
-        """(A, B, C) with P = A y^2 + B y + C at this x (missing rows are 0)."""
-        vals = [self.row_at(j, x) for j in range(len(self.rows))]
-        vals += [0.0] * (3 - len(vals))
-        return vals[2], vals[1], vals[0]
+    def coeffs_at(self, x):
+        """(A, B, C) with P = A y^2 + B y + C at x, a number or an array (missing rows are 0)."""
+        x = np.asarray(x, dtype=complex)
+        flat = x.reshape(-1)
+        acc = np.zeros((3, flat.size), dtype=complex)
+        for coeffs in self.matrix[::-1, :, None]:  # Horner, top power of x first
+            acc = acc * flat + coeffs
+        c, b, a = acc.reshape((3,) + x.shape)
+        return a, b, c
 
     def __call__(self, x: complex, y: complex) -> complex:
         a, b, c = self.coeffs_at(x)
@@ -113,12 +119,17 @@ def jensen_univariate(coeffs) -> float:
     c = np.trim_zeros(np.asarray(coeffs, dtype=complex), "f")
     if c.size == 0:
         raise DegenerateInputError("zero polynomial")
-    m = math.log(abs(c[0]))
-    if c.size > 1:
-        for r in np.roots(c):
-            if abs(r) > 1.0:  # log+ of anything inside the disk is 0
-                m += math.log(abs(r))
-    return m
+    return _jensen(c[0], np.roots(c))
+
+
+def _jensen(lead, roots) -> float:
+    """log|lead| + sum log max(1, |root|), the measure of lead * prod(x - root)."""
+    return math.log(abs(lead)) + sum(math.log(abs(r)) for r in roots if abs(r) > 1.0)
+
+
+def _roots(coeffs) -> np.ndarray:
+    """Roots of the polynomial with these ascending coefficients."""
+    return np.roots(np.asarray(coeffs, dtype=float)[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -146,38 +157,32 @@ ON_CIRCLE = 1e-6
 NEAR_CIRCLE = 0.05
 
 
-def _unit_circle_angles(coeffs, band=ON_CIRCLE):
-    """Angles in (0, pi] of the roots within ``band`` of |x| = 1 (ascending coefficients)."""
-    return [float(np.angle(r)) for r in np.roots(np.asarray(coeffs)[::-1])
+def _unit_circle_angles(roots, band=ON_CIRCLE):
+    """Angles in (0, pi] of the ``roots`` within ``band`` of |x| = 1."""
+    return [float(np.angle(r)) for r in roots
             if abs(abs(r) - 1.0) < band and np.angle(r) > 0.0]
 
 
-def _padded_rows(p: BivariatePoly):
-    d = max(len(r) for r in p.rows)
-    return [np.array(r + [0.0] * (d - len(r))) for r in p.rows]
-
-
 def _toric_resultant(p: BivariatePoly):
-    """y-resultant of P and x^d y^n P(1/x, 1/y), ascending in x; [] if identically 0.
+    """y-resultant of P and x^d y^n P(1/x, 1/y), ascending in x.
 
     For real coefficients its unit-circle roots contain every x on |x| = 1
     where a root y of P crosses |y| = 1.  A self-inversive P (every family
     here) is its own reciprocal, and the resultant vanishes exactly.
     """
-    f = _padded_rows(p)
-    g = [r[::-1] for r in reversed(f)]
+    f = p.matrix.T[:p.y_degree + 1]
+    g = f[::-1, ::-1]
 
     def det(i, j):  # f_i g_j - g_i f_j: exactly 0 when g == +-f
-        return npp.polysub(npp.polymul(f[i], g[j]), npp.polymul(g[i], f[j]))
+        return np.convolve(f[i], g[j]) - np.convolve(g[i], f[j])
 
     if p.y_degree == 1:
         res = det(1, 0)
     elif p.y_degree == 2:
-        res = npp.polysub(npp.polymul(det(2, 0), det(2, 0)),
-                          npp.polymul(det(2, 1), det(1, 0)))
+        res = np.convolve(det(2, 0), det(2, 0)) - np.convolve(det(2, 1), det(1, 0))
     else:
         return []
-    return np.trim_zeros(res, "b")
+    return res
 
 
 def split_angles(p: BivariatePoly):
@@ -189,11 +194,11 @@ def split_angles(p: BivariatePoly):
     arguments of discriminant roots within NEAR_CIRCLE of the circle are
     boundaries too.
     """
-    kinks = _unit_circle_angles(p.leading_y_coeff) + _unit_circle_angles(_toric_resultant(p))
+    kinks = _unit_circle_angles(p.leading_roots) + _unit_circle_angles(_roots(_toric_resultant(p)))
     if p.y_degree == 2:
-        c, b, a = _padded_rows(p)
-        disc = npp.polysub(npp.polymul(b, b), 4.0 * npp.polymul(a, c))
-        kinks += _unit_circle_angles(disc, NEAR_CIRCLE)
+        c, b, a = p.matrix.T
+        kinks += _unit_circle_angles(_roots(np.convolve(b, b) - 4.0 * np.convolve(a, c)),
+                                     NEAR_CIRCLE)
     pts = [0.0]
     for t in sorted(kinks):
         if t - pts[-1] > ON_CIRCLE and t < math.pi - ON_CIRCLE:
@@ -205,18 +210,35 @@ def mahler_quadratic_y(p: BivariatePoly, tol: Tolerance = Tolerance(absolute=1e-
     """Mahler measure by Jensen reduction in y (y-degree 1 or 2 required)."""
     if p.y_degree == 0:
         return jensen_univariate(list(reversed(p.rows[0])))
-    base = jensen_univariate(list(reversed(p.leading_y_coeff)))
+    base = _jensen(next(c for c in reversed(p.rows[-1]) if c), p.leading_roots)
     panels = split_angles(p)
     per_panel = Tolerance(absolute=max(tol.absolute / max(len(panels), 1), 1e-14))
 
     def positive_log_sum(theta, row):
-        a, b, c = np.broadcast_arrays(*p.coeffs_at(np.exp(1j * theta)))
-        return np.log(np.maximum(np.abs(_root_rows(p, a, b, c)), 1.0)).sum(axis=1)
+        a, b, c = p.coeffs_at(np.exp(1j * theta))
+        if p.y_degree == 1:
+            return np.log(np.maximum(np.abs(c / b), 1.0))
+        return _log_plus_sum(a, b, c)
 
     ends = [[(lo, hi)] for lo, hi in zip(panels[:-1], panels[1:])]
     total = sum(r.value for r in integrate_panel_rows(positive_log_sum, ends, per_panel))
     # real coefficients: the [pi, 2pi] half mirrors [0, pi]
     return base + total / math.pi
+
+
+def _log_plus_sum(a, b, c) -> np.ndarray:
+    """log max(|y_1|, 1) + log max(|y_2|, 1) over the roots of a y^2 + b y + c, elementwise.
+
+    No root is formed: with s = max|-b +- sqrt(b^2 - 4ac)| the larger root
+    has |y_1| = s / 2|a|, and the other |y_2| = |c / (a y_1)| = 2|c| / s.
+    """
+    abs_a = np.abs(a)
+    if not abs_a.all():
+        raise DegenerateInputError("leading coefficient is zero")
+    d = np.sqrt(b * b - 4 * a * c)
+    half_s = 0.5 * np.maximum(np.abs(b - d), np.abs(b + d))
+    with np.errstate(divide="ignore", invalid="ignore"):  # log 0 and 0/0 where c == 0
+        return np.fmax(np.log(half_s / abs_a), 0.0) + np.fmax(np.log(np.abs(c) / half_s), 0.0)
 
 
 def _root_rows(p: BivariatePoly, a, b, c) -> np.ndarray:
@@ -256,7 +278,7 @@ def mahler_torus2(p: BivariatePoly, tol: Tolerance = Tolerance(absolute=1e-5)) -
     inner_tol = Tolerance(absolute=0.5 * tol.absolute)  # stops at 0.05*tol
 
     def outer(theta: np.ndarray) -> np.ndarray:
-        a, b, c = np.broadcast_arrays(*p.coeffs_at(np.exp(1j * theta)))
+        a, b, c = p.coeffs_at(np.exp(1j * theta))
         # on |y| = 1, |P| is not resolved below the rounding error of its
         # terms; samples that close to a torus zero can come out as exactly 0
         noise = _EPS * (np.abs(a) + np.abs(b) + np.abs(c))

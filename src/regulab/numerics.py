@@ -5,10 +5,11 @@ Takahasi and Mori, which tolerates integrable inverse-square-root and
 logarithmic blow-up at the interval ends.  It comes in a scalar form,
 an array form that integrates a vectorised integrand over several
 panels at once, and a row form that runs many such array integrals side
-by side, one integrand call per refinement level for all of them.  All
-forms share one node table and one stopping rule, and return a
-:class:`QuadratureResult` with an error estimate and an evaluation
-count.
+by side.  The array and row forms call the integrand once on the nodes
+of refinement levels 0-3 together and then once per further level, for
+all rows still refining.  All forms share one node table and one
+stopping rule, and return a :class:`QuadratureResult` with an error
+estimate and an evaluation count.
 
 Interior singularities are *not* handled here; callers split the domain
 at known bad points first.
@@ -69,8 +70,9 @@ def integrate_adaptive(
     """Tanh-sinh integration of a vectorised f over (a, b); a < b is required.
 
     f takes an array of abscissae and returns the integrand on it.  It is
-    called once per refinement level, so at most ``_TS_LEVELS + 1`` times,
-    and never at a or b, where it may have integrable singularities.
+    called once for levels 0-3 and then once per further level, so at most
+    ``_TS_LEVELS - 2`` times, and never at a or b, where it may have
+    integrable singularities.
     Stopping and error semantics are those of ``integrate_endpoint_singular``.
     """
     return integrate_panels_singular(f, [(a, b)], tol)
@@ -81,29 +83,23 @@ def integrate_adaptive(
 # factors like 1/sqrt(x-a) stay accurate near the boundary.
 _TS_TMAX = 4.8  # sinh(4.8)*pi/2 ~ 95: endpoint offsets stay normal floats
 _TS_LEVELS = 12  # refinements after the h = 1 trapezoid
-
-
-@dataclass(frozen=True)
-class _TanhSinhLevel:
-    """New nodes of one refinement level.
-
-    On (a, b) a node lies (b - a) / divisor from its nearer endpoint, the
-    left one where ``left`` is true, with weight
-    (b - a)/2 * (pi/2) * cosh_t / cosh_u2 before the step h.  The scalar
-    rule reads these factors from ``nodes`` as Python floats; the array
-    rule reads ``step`` (the offset on a unit interval, signed towards the
-    interior) and ``weight`` (the weight on a unit interval).
-    """
-
-    nodes: tuple  # (divisor, cosh_t, cosh_u2, left) per node
-    step: np.ndarray
-    weight: np.ndarray
-    left: np.ndarray
+# Levels 0.._TS_FUSED (h >= 1/8, 77 nodes on a panel) share the array rule's
+# first integrand call: Jensen and torus rows stop at level 1 (a panel where
+# the integrand is 0) or at level 3 or later, hardly ever at 2.  Each later
+# level is one call.
+_TS_FUSED = 3
+_TS_GROUPS = ((0, _TS_FUSED),) + tuple((j, j) for j in range(_TS_FUSED + 1, _TS_LEVELS + 1))
 
 
 @functools.lru_cache(maxsize=None)
-def _ts_level(level: int) -> _TanhSinhLevel:
-    """Level 0: t = -4..4 at h = 1; level j: the odd multiples of h = 2^-j within _TS_TMAX."""
+def _ts_level(level: int) -> tuple:
+    """New nodes of one level as (divisor, cosh_t, cosh_u2, left).
+
+    Level 0: t = -4..4 at h = 1; level j: the odd multiples of h = 2^-j
+    within _TS_TMAX.  On (a, b) a node lies (b - a) / divisor from its
+    nearer endpoint, the left one where ``left`` is true, with weight
+    (b - a)/2 * (pi/2) * cosh_t / cosh_u2 before the step h.
+    """
     h = 0.5**level
     n = int(_TS_TMAX / h)
     if level == 0:
@@ -115,12 +111,35 @@ def _ts_level(level: int) -> _TanhSinhLevel:
         t = k * h
         u = 0.5 * math.pi * math.sinh(t)
         nodes.append((1.0 + math.exp(2.0 * abs(u)), math.cosh(t), math.cosh(u) ** 2, u < 0))
-    divisor, cosh_t, cosh_u2, left = (np.array(col) for col in zip(*nodes))
-    step = np.where(left, 1.0, -1.0) / divisor
-    weight = 0.25 * math.pi * cosh_t / cosh_u2
-    for arr in (step, weight, left):
+    return tuple(nodes)
+
+
+@dataclass(frozen=True)
+class _NodeGroup:
+    """New nodes of the levels first..last of a ``_TS_GROUPS`` entry, level by level.
+
+    On a unit interval a node lies ``step`` from the endpoint that ``left``
+    names (signed towards the interior) with weight ``weight`` before the
+    step h; ``level`` is its level less first.  ``h`` holds the step of
+    each level first..last.
+    """
+
+    step: np.ndarray
+    weight: np.ndarray
+    left: np.ndarray
+    level: np.ndarray
+    h: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _ts_group(first: int, last: int) -> _NodeGroup:
+    nodes = [(j, *node) for j in range(first, last + 1) for node in _ts_level(j)]
+    level, divisor, cosh_t, cosh_u2, left = (np.array(col) for col in zip(*nodes))
+    group = _NodeGroup(np.where(left, 1.0, -1.0) / divisor, 0.25 * math.pi * cosh_t / cosh_u2,
+                       left, level - first, 0.5 ** np.arange(first, last + 1))
+    for arr in vars(group).values():
         arr.setflags(write=False)
-    return _TanhSinhLevel(tuple(nodes), step, weight, left)
+    return group
 
 
 def integrate_endpoint_singular(
@@ -149,7 +168,7 @@ def integrate_endpoint_singular(
     scale = 0.5 * width * 0.5 * math.pi
 
     def level_sum(level):
-        nodes = _ts_level(level).nodes
+        nodes = _ts_level(level)
         acc = 0.0
         for divisor, cosh_t, cosh_u2, left in nodes:
             off = width / divisor
@@ -174,9 +193,10 @@ def integrate_panels_singular(
 
     ``panels`` is a sequence of (a, b) pairs with a < b; f may have
     integrable logarithmic or inverse-square-root singularities at any
-    panel end and is never evaluated there.  Each refinement level calls
-    f once, on one array holding the new nodes of every panel.  Stopping
-    and error semantics are those of ``integrate_endpoint_singular``.
+    panel end and is never evaluated there.  Each call of f takes one
+    array holding the new nodes of every panel: those of levels 0-3 in the
+    first call, of one further level in each later one.  Stopping and error
+    semantics are those of ``integrate_endpoint_singular``.
     """
     if not panels or not all(a < b for a, b in panels):
         raise DegenerateInputError(f"need panels with a < b, got {panels!r}")
@@ -192,11 +212,15 @@ def integrate_panel_rows(
 
     ``ends`` has shape (rows, panels, 2): row i integrates over the panels
     ``ends[i, k] = (a, b)`` with a <= b, where an empty panel (a == b)
-    adds nothing.  Each refinement level calls f once, as f(x, row), on
-    the new nodes of every row still refining; ``row[j]`` is the row of
-    node ``x[j]``.  A row stops by ``_refine``'s rule and then drops out,
-    so its result and evaluation count are those of the row integrated
-    alone, and ``tol.max_evaluations`` is a budget per row.  A row that
+    adds nothing.  f is called as f(x, row) on the new nodes of every row
+    still refining, ``row[j]`` being the row of node ``x[j]``: the first
+    call holds the nodes of levels 0.._TS_FUSED, and each later call those
+    of one further level, up to ``_TS_LEVELS``.  Each level's sum is kept
+    apart, so a row stops by ``_refine``'s rule, level by level, at the
+    level and with the value and error estimate of the row integrated
+    alone, and ``tol.max_evaluations`` is a budget per row checked before
+    each level.  Its evaluation count is that of the nodes evaluated,
+    which includes any levels of the first call past its stop.  A row that
     stalls raises NoConvergenceError carrying that row's best estimate.
     """
     ends = np.asarray(ends, dtype=float)
@@ -211,24 +235,38 @@ def integrate_panel_rows(
     err = np.full(len(ends), math.inf)
     evals = np.zeros(len(ends), dtype=int)
     active = np.arange(len(ends))
-    for level in range(_TS_LEVELS + 1):
+    for first, last in _TS_GROUPS:
         active = active[evals[active] <= tol.max_evaluations]
         if not active.size:
             break
-        nodes = _ts_level(level)
+        nodes = _ts_group(first, last)
         a, b, w = lo[active], hi[active], width[active]
         x = np.where(nodes.left, a, b) + w * nodes.step
         inside = (a < x) & (x < b)  # else rounded onto an end; weighted term is ~1e-37
-        pos = np.nonzero(inside)[0]  # index into ``active`` of each inside node
+        pos, _, node = np.nonzero(inside)  # ``pos`` indexes ``active``
         fx = f(x[inside], active[pos])
-        total[active] += np.bincount(pos, (w * nodes.weight)[inside] * fx, active.size)
-        evals[active] += np.bincount(pos, minlength=active.size)
-        prev = estimate[active]
-        estimate[active] = 0.5**level * total[active]
-        if level:
-            err[active] = np.abs(estimate[active] - prev)
-            bound = np.maximum(tol.absolute, tol.relative * np.abs(estimate[active]))
-            active = active[~(err[active] <= bound * 0.1)]
+        # one bin per (row, level): each level's sum adds the same terms in
+        # the same order as a call for that level alone would
+        shape = (active.size, last - first + 1)
+        key = pos * shape[1] + nodes.level[node]
+        sums = np.bincount(key, (w * nodes.weight)[inside] * fx, math.prod(shape)).reshape(shape)
+        seen = evals[active, None] + np.cumsum(  # evaluations through each level
+            np.bincount(key, minlength=math.prod(shape)).reshape(shape), axis=1)
+        # total, estimate and error after each level, as one call per level leaves them
+        running = np.cumsum(np.concatenate([total[active, None], sums], axis=1), axis=1)[:, 1:]
+        est = nodes.h * running
+        diff = np.abs(est - np.concatenate([estimate[active, None], est[:, :-1]], axis=1))
+        if first == 0:
+            diff[:, 0] = math.inf  # level 0 alone has no error estimate
+        # a row stops at its first level that converges, or before a level
+        # that would start over the budget
+        stop = diff <= np.maximum(tol.absolute, tol.relative * np.abs(est)) * 0.1
+        stop[:, :-1] |= seen[:, :-1] > tol.max_evaluations
+        stopped = stop.any(axis=1)
+        row, j = np.arange(active.size), np.where(stopped, stop.argmax(axis=1), shape[1] - 1)
+        total[active], estimate[active], err[active] = running[row, j], est[row, j], diff[row, j]
+        evals[active] = seen[:, -1]  # every node of the group was evaluated
+        active = active[~stopped]
     # rows left unconverged at the level cap or the budget pass up to tol
     stalled = np.nonzero(~(err <= np.maximum(tol.absolute, tol.relative * np.abs(estimate))))[0]
     results = [QuadratureResult(v, e, max(n, 1))

@@ -18,6 +18,8 @@ from regulab.dilogarithm import (
     elliptic_dilog_divisor,
     li2,
 )
+from regulab.divisors import family_embedding
+from regulab.elliptic import u_to_qz
 from regulab.numerics import Tolerance
 
 mpmath.mp.dps = 30
@@ -52,6 +54,10 @@ class TestBlochWigner:
     def test_vanishes_on_real_line(self):
         for x in (-3.0, -1.0, 0.5, 2.0, 100.0):
             assert bloch_wigner(x) == 0.0
+
+    def test_subnormal_imaginary_part_next_to_the_real_line(self):
+        # arg(1 - z) underflows here; cmath.phase raised OverflowError on it
+        assert abs(bloch_wigner(-99 + 1e-322j)) < 1e-300
 
     def test_odd_under_conjugation(self):
         z = 0.4 + 1.3j
@@ -128,3 +134,31 @@ class TestEllipticDilog:
                 return [("a", 2), ("b", -1)]
 
         assert abs(elliptic_dilog_divisor(pts, Div(), Tolerance(absolute=1e-12)) - single) < 1e-11
+
+    @pytest.mark.parametrize("name", ["P", "U", "V"])
+    def test_s_generators_against_a_40_digit_sum(self, name):
+        # |q| = 0.246 at S alpha = 1; the tail bound must carry the log
+        # factor of |D(w)| for small |w|, or the sum stops short by ~8e-12
+        emb = family_embedding("S", 1.0)
+        p = u_to_qz(emb.generator_logs[name], emb.lattice)
+        assert abs(elliptic_dilog(p, Tolerance(absolute=1e-12)) - _mp_elliptic_dilog(p)) <= 1e-12
+
+
+def _mp_bloch_wigner(w):
+    if abs(w) > 1:
+        return -_mp_bloch_wigner(1 / w)  # D(1/w) = -D(w)
+    return mpmath.im(mpmath.polylog(2, w)) + mpmath.arg(1 - w) * mpmath.log(abs(w))
+
+
+def _mp_elliptic_dilog(p: QPoint) -> float:
+    """sum_n D(q^n z) to 40 digits, until the next pair of terms is below 1e-42."""
+    with mpmath.workdps(40):
+        q, z = mpmath.mpc(p.q), mpmath.mpc(p.z)
+        total = _mp_bloch_wigner(z)
+        n = 1
+        while True:
+            pair = _mp_bloch_wigner(z * q**n), _mp_bloch_wigner(z / q**n)
+            total += sum(pair)
+            if abs(pair[0]) + abs(pair[1]) < mpmath.mpf(10) ** -42:
+                return float(total)
+            n += 1

@@ -237,6 +237,16 @@ class TestEllipticLogOracles:
         for pt, u in ((p, u_p), (q, u_q)):
             assert _lattice_distance(elliptic_log(c, lat, negate(c, pt)) + u, lat) < tol
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_subnormal_imaginary_part_of_x(self, sign):
+        # choosing the ray took cmath.phase of an argument with Im ~ 1e-322,
+        # which raised OverflowError; u must be that of x = -0.9135 exactly
+        c = deuring_curve(20.0)
+        lat = period_lattice(c)
+        u = elliptic_log(c, lat, _point(c, complex(-0.9135, 1.1e-322), sign))
+        u_real = elliptic_log(c, lat, _point(c, complex(-0.9135, 0.0), sign))
+        assert _lattice_distance(u - u_real, lat) < 1e-12 * abs(lat.omega1)
+
     @pytest.mark.parametrize("c", list(ORACLE_CURVES.values()), ids=list(ORACLE_CURVES))
     def test_real_identity_component_logs_are_real(self, c):
         # rounding noise in Im u would move the q-point off |z| = 1 and change

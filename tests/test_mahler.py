@@ -20,7 +20,13 @@ from regulab.mahler import (
     mahler_torus2,
     split_angles,
 )
-from regulab.numerics import _TS_LEVELS, DegenerateInputError, NoConvergenceError, Tolerance
+from regulab.numerics import (
+    _TS_LEVELS,
+    DegenerateInputError,
+    NoConvergenceError,
+    Tolerance,
+    solve_quadratic_stable_array,
+)
 
 
 class TestFamilySpec:
@@ -202,6 +208,37 @@ class TestMahlerMeasures:
         assert abs(fast - slow) < 1e-4
         n_panels = len(split_angles(poly)) - 1
         assert 0 < len(calls) <= (_TS_LEVELS + 1) * n_panels
+
+    @pytest.mark.parametrize("family,alpha", [("P", 3.0), ("S", 3.0), ("Q", 5.0), ("R", 7.0)])
+    def test_jensen_makes_at_most_two_integrand_calls(self, family, alpha, monkeypatch):
+        # the first row call covers tanh-sinh levels 0-3; these panels stop by level 4
+        calls = []
+        rows = mahler.integrate_panel_rows
+
+        def counted(f, ends, tol):
+            return rows(lambda x, row: calls.append(1) or f(x, row), ends, tol)
+
+        monkeypatch.setattr(mahler, "integrate_panel_rows", counted)
+        mahler_quadratic_y(family_poly(FamilySpec(family, alpha)))
+        assert 0 < len(calls) <= 2
+
+    def test_root_free_log_plus_sum_matches_the_roots(self):
+        rng = np.random.default_rng(18)
+
+        def draw(n):
+            return (rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, n)
+                    + 1j * rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, n))
+
+        a, b, c = draw(2000), draw(2000), draw(2000)
+        c[:200] = 0.0
+        b[200:400] = 0.0
+        b[400:600] = c[400:600] = 0.0
+        roots = np.stack(solve_quadratic_stable_array(a, b, c))
+        want = np.log(np.maximum(np.abs(roots), 1.0)).sum(axis=0)
+        got = mahler._log_plus_sum(a, b, c)
+        assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(np.abs(want), 1.0))
+        with pytest.raises(DegenerateInputError):
+            mahler._log_plus_sum(np.array([1.0, 0.0]), b[:2], c[:2])
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):

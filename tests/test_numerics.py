@@ -190,6 +190,26 @@ class TestPanelRows:
             integrate_panels_singular(lambda x: 1.0 / x, [(0.0, 1.0)])
         assert err.value.best == solo.value.best
 
+    def test_fused_first_call_keeps_each_levels_stop_and_error(self):
+        # the scalar rule stops these at levels 1 (zero integrand), 3 and 5
+        # (19, 77 and 307 nodes); the first row call holds levels 0-3
+        scalar = [lambda x: 0.0, math.log, lambda x: math.cos(20.0 * x)]
+        tol = Tolerance(absolute=1e-10)
+        calls = []
+
+        def f(x, row):
+            calls.append(x.size)
+            return np.select([row == 0, row == 1], [0.0 * x, np.log(x)], np.cos(20.0 * x))
+
+        rows = integrate_panel_rows(f, [[(0.0, 1.0)]] * 3, tol)
+        for row, g, evals in zip(rows, scalar, (19, 77, 307)):
+            solo = integrate_endpoint_singular(g, 0.0, 1.0, tol)
+            assert solo.evaluations == evals
+            assert abs(row.value - solo.value) <= 1e-15
+            assert abs(row.error_estimate - solo.error_estimate) <= 1e-15
+        assert len(calls) <= _TS_LEVELS + 1 - 3
+        assert rows[0].evaluations == rows[1].evaluations == calls[0] // 3  # all of levels 0-3
+
     @pytest.mark.parametrize("ends", [[(0.0, 1.0)], [[(1.0, 0.0)]], [[(0.0, math.inf)]]])
     def test_rejects_malformed_rows(self, ends):
         with pytest.raises(DegenerateInputError):

@@ -1,13 +1,16 @@
 """L-series of the integral family curves and L'(E, 0).
 
-a_p comes from direct point counting over F_p, one numpy pass per prime:
-w(x) = 4x^3 + b2 x^2 + 2 b4 x + b6 mod p over all x, looked up in a table
-of the squares mod p.  Bad-prime coefficients use the count of nonsingular
-points, which lands in {1, -1, 0} according to split-multiplicative /
-nonsplit-multiplicative / additive reduction.  a_n follows in one pass over
-a smallest-prime-factor sieve.  The completed L-function is evaluated
-through the smoothed approximate functional equation, whose half-sums are
-array sums of incomplete-gamma weights, and L'(E, 0) = Lambda(0).
+a_p comes from direct point counting over F_p, every prime of a table in
+one array pass: w(x) = 4x^3 + b2 x^2 + 2 b4 x + b6 mod p over the nodes
+x = 0..p-1 of all primes, concatenated, is looked up in a table of the
+quadratic characters mod each p and summed per prime.  The node and
+character tables depend only on the set of primes and are built once.
+Bad-prime coefficients use the count of nonsingular points, which lands
+in {1, -1, 0} according to split-multiplicative / nonsplit-multiplicative
+/ additive reduction.  a_n follows in one pass over a smallest-prime-factor
+sieve.  The completed L-function is evaluated through the smoothed
+approximate functional equation, whose half-sums are array sums of
+incomplete-gamma weights, and L'(E, 0) = Lambda(0).
 
 The functional-equation sign is never taken from the literature: it is
 detected numerically by demanding that the approximate functional
@@ -16,6 +19,7 @@ equation give cutoff-independent values (only the true sign does).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -90,43 +94,77 @@ def _int_coeffs(c: WeierstrassCurve):
     return coeffs
 
 
-def _affine_count(coeffs, p: int) -> int:
-    """#{(x, y) in F_p^2 on the curve with integer a-invariants coeffs}."""
-    a1, a2, a3, a4, a6 = (a % p for a in coeffs)
-    if p == 2:
-        return sum(
-            (y * y + a1 * x * y + a3 * y - (x**3 + a2 * x * x + a4 * x + a6)) % 2 == 0
-            for x in (0, 1) for y in (0, 1)
-        )
-    # complete the square: (2y + a1 x + a3)^2 = w(x) = 4x^3 + b2 x^2 + 2 b4 x + b6,
-    # so x carries 2 points when w is a nonzero square, 1 when w = 0, else 0;
-    # every int64 product stays below 5 p^2
-    b2 = (a1 * a1 + 4 * a2) % p
-    b4 = (2 * a4 + a1 * a3) % p
-    b6 = (a3 * a3 + 4 * a6) % p
-    x = np.arange(p, dtype=np.int64)
-    w = (((4 * x + b2) * x % p + 2 * b4) * x + b6) % p
-    square = np.zeros(p, dtype=bool)
-    square[x * x % p] = True
-    return int(2 * np.count_nonzero(square[w]) - np.count_nonzero(w == 0))
+@functools.lru_cache(maxsize=8)
+def _residue_tables(primes: tuple) -> tuple:
+    """Node tables for counting over the odd ``primes`` in one array pass.
+
+    The nodes are x = 0..p-1 for every prime p, concatenated.  Returns
+    (x, x^2 mod p, 4x^3 mod p, p, base) per node, ``base`` being the first
+    node of its prime; the quadratic character chi(r) of r mod p (1 on
+    nonzero squares, 0 at 0, -1 elsewhere) at ``base + r``; and the first
+    node of each prime.
+    """
+    modulus = np.repeat(np.array(primes, dtype=np.int64), primes)
+    starts = np.cumsum((0,) + primes[:-1])
+    base = np.repeat(starts, primes)
+    x = np.arange(modulus.size, dtype=np.int64) - base
+    x2 = x * x % modulus
+    chi = np.full(modulus.size, -1, dtype=np.int8)
+    chi[base + x2] = 1
+    chi[starts] = 0
+    tables = (x, x2, 4 * x * x2 % modulus, modulus, base, chi, starts)
+    for arr in tables:
+        arr.setflags(write=False)
+    return tables
 
 
-def _good_ap(coeffs, p: int) -> int:
-    a = p - _affine_count(coeffs, p)
+def _affine_count(coeffs, p):
+    """#{(x, y) in F_p^2 on the curve with integer a-invariants coeffs}.
+
+    ``p`` is one prime or an array of primes, counted elementwise: every
+    odd prime in one array pass over the nodes of all of them.
+    """
+    primes = np.atleast_1d(np.asarray(p, dtype=np.int64))
+    a1, a2, a3, a4, a6 = coeffs
+    counts = primes.copy()
+    odd = primes != 2
+    if odd.any():
+        # complete the square: (2y + a1 x + a3)^2 = w(x) = 4x^3 + b2 x^2 + 2 b4 x + b6,
+        # so x carries 1 + chi(w(x)) points.  Every factor is reduced mod p
+        # (the b's exactly, as Python ints), so each int64 product stays
+        # below p^2 and w below 3 p^2 before its one reduction.
+        odd_primes = tuple(primes[odd].tolist())
+        x, x2, x3_4, modulus, base, chi, starts = _residue_tables(odd_primes)
+        residues = [[b % q for q in odd_primes]
+                    for b in (a1 * a1 + 4 * a2, 4 * a4 + 2 * a1 * a3, a3 * a3 + 4 * a6)]
+        w, b4x2, b6 = np.repeat(np.array(residues, dtype=np.int64), odd_primes, axis=1)
+        w *= x2  # in place from here on: the node arrays are large
+        b4x2 *= x
+        w += b4x2
+        w += b6
+        w += x3_4
+        w %= modulus
+        w += base
+        counts[odd] += np.add.reduceat(chi[w], starts, dtype=np.int64)
+    counts[~odd] = sum((y * y + a1 * x * y + a3 * y - (x**3 + a2 * x * x + a4 * x + a6)) % 2 == 0
+                       for x in (0, 1) for y in (0, 1))
+    return int(counts[0]) if np.ndim(p) == 0 else counts
+
+
+def _hasse_checked(a: int, p: int) -> int:
     if a * a > 4 * p:
         raise InconsistentDataError(f"a_{p}={a} violates the Hasse bound")
     return a
 
 
-def _bad_ap(coeffs, p: int):
-    a = p - _affine_count(coeffs, p)
+def _bad_kind(a: int, p: int) -> str:
     kinds = {1: "split-multiplicative", -1: "nonsplit-multiplicative", 0: "additive"}
     if a not in kinds:
         raise NeedsOverrideError(
             f"nonsingular count at p={p} gives a_p={a}; the model is likely "
             "non-minimal there - supply an override"
         )
-    return a, kinds[a]
+    return kinds[a]
 
 
 def _require_prime(p) -> None:
@@ -140,7 +178,7 @@ def ap_good(c: WeierstrassCurve, p: int) -> int:
     _require_prime(p)
     if int(c.discriminant()) % p == 0:
         raise DegenerateInputError(f"p={p} divides the discriminant; use ap_bad")
-    return _good_ap(_int_coeffs(c), p)
+    return _hasse_checked(p - _affine_count(_int_coeffs(c), p), p)
 
 
 def ap_bad(c: WeierstrassCurve, p: int):
@@ -153,7 +191,8 @@ def ap_bad(c: WeierstrassCurve, p: int):
     _require_prime(p)
     if int(c.discriminant()) % p != 0:
         raise DegenerateInputError(f"p={p} is a good prime")
-    return _bad_ap(_int_coeffs(c), p)
+    a = p - _affine_count(_int_coeffs(c), p)
+    return a, _bad_kind(a, p)
 
 
 def rescale_integral_model(c: WeierstrassCurve) -> WeierstrassCurve:
@@ -170,17 +209,18 @@ def ap_table(c: WeierstrassCurve, conductor: int, bound: int,
     c = rescale_integral_model(c)
     coeffs = _int_coeffs(c)
     disc = abs(int(c.discriminant()))
+    spf = _smallest_prime_factors(bound)
+    primes = np.array([n for n in range(2, bound + 1) if spf[n] == n], dtype=np.int64)
     ap = {}
     bad = {}
-    spf = _smallest_prime_factors(bound)
-    for p in (n for n in range(2, bound + 1) if spf[n] == n):
+    for p, a in zip(primes.tolist(), (primes - _affine_count(coeffs, primes)).tolist()):
         if overrides and p in overrides:
             ap[p] = overrides[p]
             if conductor % p == 0:
                 bad[p] = "override"
             continue
         if disc % p == 0:
-            a, kind = _bad_ap(coeffs, p)
+            kind = _bad_kind(a, p)
             expected_additive = conductor % (p * p) == 0
             if expected_additive != (kind == "additive"):
                 raise NeedsOverrideError(
@@ -190,7 +230,7 @@ def ap_table(c: WeierstrassCurve, conductor: int, bound: int,
             ap[p] = a
             bad[p] = kind
         else:
-            ap[p] = _good_ap(coeffs, p)
+            ap[p] = _hasse_checked(a, p)
     return APTable(c, ap, bad)
 
 

@@ -8,10 +8,12 @@ with the branch-label-free integrand (no choice of "the large root" is
 ever needed).  Quadrature panels are split at torus zeros of A, at
 angles where a root crosses the unit circle, and at discriminant
 collisions, all taken from the exact unit-circle roots of polynomials
-in x (A, B^2 - 4AC, and the resultant of P with its reciprocal).  Each
-panel is a row of one batched tanh-sinh call; its first integrand call
-covers refinement levels 0-3 of every panel, and each later call one
-further level.  The integrand evaluates A, B, C on all theta nodes of a
+in x (A, B^2 - 4AC, and the resultant of P with its reciprocal), once
+per polynomial for both methods.  Each panel is a row of one batched
+tanh-sinh call; its first integrand call covers refinement levels 0-3 of
+every panel, and each later call one further level.  The total tolerance
+is at least TOL_FLOOR, where the rule's error estimates reach rounding
+noise.  The integrand evaluates A, B, C on all theta nodes of a
 call by one Horner pass and takes sum_i log+|y_i| from the moduli of
 the quadratic formula, without forming the roots.  A slower direct
 two-dimensional torus quadrature cross-validates the result.  Its
@@ -43,6 +45,12 @@ from .numerics import (
 
 TWO_PI = 2.0 * math.pi
 _EPS = np.finfo(float).eps
+# The smallest total tolerance mahler_quadratic_y accepts.  Its per-panel
+# tanh-sinh error estimates level off near 1e-14, the rounding noise of the
+# integrand: on the 644 parameters of a 0.25-step grid over [-20, 20] for
+# all four families none stalls at tol = 1e-13, and 44 stall at 3e-14
+# (P -6, S 4, S 10.5, Q 8.25, R 6, ...).
+TOL_FLOOR = 1e-13
 
 
 @dataclass(frozen=True)
@@ -87,6 +95,11 @@ class BivariatePoly:
     def leading_roots(self) -> np.ndarray:
         """Roots in x of P*(x), the top y-power row; found once for m(P*) and split_angles."""
         return _roots(self.rows[-1])
+
+    @functools.cached_property
+    def panels(self) -> list:
+        """``split_angles`` of this polynomial; found once for Jensen and the torus method."""
+        return split_angles(self)
 
     def coeffs_at(self, x):
         """(A, B, C) with P = A y^2 + B y + C at x, a number or an array (missing rows are 0)."""
@@ -208,10 +221,12 @@ def split_angles(p: BivariatePoly):
 
 def mahler_quadratic_y(p: BivariatePoly, tol: Tolerance = Tolerance(absolute=1e-10)) -> float:
     """Mahler measure by Jensen reduction in y (y-degree 1 or 2 required)."""
+    if not tol.absolute >= TOL_FLOOR:  # NaN included
+        raise DegenerateInputError(f"tol={tol.absolute:g} is below the floor {TOL_FLOOR:g}")
     if p.y_degree == 0:
         return jensen_univariate(list(reversed(p.rows[0])))
     base = _jensen(next(c for c in reversed(p.rows[-1]) if c), p.leading_roots)
-    panels = split_angles(p)
+    panels = p.panels
     per_panel = Tolerance(absolute=max(tol.absolute / max(len(panels), 1), 1e-14))
 
     def positive_log_sum(theta, row):
@@ -292,7 +307,7 @@ def mahler_torus2(p: BivariatePoly, tol: Tolerance = Tolerance(absolute=1e-5)) -
 
     # by Jensen's formula the inner average is log|A| + sum log+|y_i|, so the
     # outer integrand kinks at the same angles as the Jensen integrand
-    panels = split_angles(p)
+    panels = p.panels
     per_panel = Tolerance(absolute=tol.absolute * math.pi / (len(panels) - 1))
     total = 0.0
     for lo, hi in zip(panels[:-1], panels[1:]):
@@ -353,7 +368,7 @@ def jensen_path_eta(spec: FamilySpec, tol: Tolerance = Tolerance(absolute=1e-9))
     are covered via the conjugation symmetry of real coefficients.
     """
     p = family_poly(spec)
-    panels = split_angles(p)
+    panels = p.panels
 
     def x_of(th):
         return cmath.exp(1j * th)

@@ -75,6 +75,15 @@ class TestMain:
         assert data["pass"] is True
         assert data["records"][0]["lhs"] == pytest.approx(0.6168709388, abs=1e-8)
 
+    @pytest.mark.parametrize("family,alpha", [("P", "-6"), ("S", "4"), ("S", "10.5"),
+                                              ("Q", "8.25"), ("R", "6")])
+    def test_mahler_tol_below_the_jensen_floor_exits_two(self, family, alpha, capsys):
+        # these stalled at 1e-14 (exit 1), the quadrature's noise level
+        argv = ["mahler", "--family", family, f"--alpha={alpha}", "--tol"]
+        assert main(argv + ["1e-14"]) == 2
+        assert "below the floor 1e-13" in capsys.readouterr().err
+        assert main(argv + ["1e-13"]) == 0
+
     def test_verify_diamonds_exact(self, capsys):
         code = main(["verify", "diamonds", "--json"])
         assert code == 0

@@ -18,7 +18,7 @@ from regulab.dilogarithm import (
     elliptic_dilog_divisor,
     li2,
 )
-from regulab.divisors import family_embedding
+from regulab.divisors import diamond, family_divisor_catalog, family_embedding
 from regulab.elliptic import u_to_qz
 from regulab.numerics import Tolerance
 
@@ -142,6 +142,30 @@ class TestEllipticDilog:
         emb = family_embedding("S", 1.0)
         p = u_to_qz(emb.generator_logs[name], emb.lattice)
         assert abs(elliptic_dilog(p, Tolerance(absolute=1e-12)) - _mp_elliptic_dilog(p)) <= 1e-12
+
+    @pytest.mark.parametrize("family, param", [("P", 3.0), ("P", -2.5), ("S", 6.0), ("S", 10.0),
+                                               ("Q", 5.0), ("Q", 7.5), ("R", 7.0), ("R", 9.0)])
+    def test_divisor_classes_against_a_40_digit_sum(self, family, param):
+        # one array call per class, against a 40-digit sum per point
+        emb = family_embedding(family, param)
+        exact = {}
+        for name, d in _diamond_classes(family).items():
+            for point, _ in d.items():
+                if point not in exact:
+                    exact[point] = _mp_elliptic_dilog(emb.qpoint(point))
+            ref = sum(mult * exact[point] for point, mult in d.items())
+            assert abs(emb.elliptic_dilog_of(d) - ref) <= 1e-12, name
+
+
+def _diamond_classes(family: str) -> dict:
+    """Every catalogued diamond class of a family, with x <> y (P) or the Steinberg class."""
+    cat = family_divisor_catalog(family)
+    classes = {name: d for name, d in cat.items() if "diamond" in name}
+    if family == "P":
+        classes["x_diamond_y"] = diamond(cat["x"], cat["y"])
+    if "steinberg_f" in cat:
+        classes["steinberg"] = diamond(cat["steinberg_f"], cat["steinberg_1mf"])
+    return classes
 
 
 def _mp_bloch_wigner(w):

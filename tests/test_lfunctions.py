@@ -4,16 +4,19 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from regulab import lfunctions
-from regulab.elliptic import WeierstrassCurve, deuring_curve
+from regulab.elliptic import SingularModelError, WeierstrassCurve, deuring_curve, quartic_twist_curve
 from regulab.lfunctions import (
     InconsistentDataError,
     MissingPrimeError,
     TABLE_ONE,
     _affine_count,
     _int_coeffs,
+    _smallest_prime_factors,
     an_coefficients,
     ap_bad,
     ap_good,
@@ -53,6 +56,22 @@ def _euler_affine_count(c: WeierstrassCurve, p: int) -> int:
         w = (((4 * x + b2) * x + 2 * b4) * x + b6) % p
         count += 1 if w == 0 else 1 + (1 if pow(w, (p - 1) // 2, p) == 1 else -1)
     return count
+
+
+def _euler_count_array(c: WeierstrassCurve, p: int) -> int:
+    """Euler's criterion w^((p-1)/2) mod p for one prime, by array square-and-multiply."""
+    if p == 2:
+        return _brute_affine_count(c, 2)
+    a1, a2, a3, a4, a6 = (int(a) % p for a in (c.a1, c.a2, c.a3, c.a4, c.a6))
+    b2, b4, b6 = a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
+    x = np.arange(p, dtype=np.int64)
+    w = (((4 * x + b2) * x % p + 2 * b4) * x + b6) % p
+    power, e = np.ones_like(w), (p - 1) // 2
+    while e:
+        if e & 1:
+            power = power * w % p
+        w, e = w * w % p, e >> 1
+    return p + int(np.count_nonzero(power == 1)) - int(np.count_nonzero(power == p - 1))
 
 
 def _reference_table(alpha: int, bound: int):
@@ -103,6 +122,24 @@ class TestPointCounts:
         apt = ap_table(c, 11, 37)
         assert apt.ap == expected
         assert apt.bad == {11: "split-multiplicative"}
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.integers(-60, 60), min_size=5, max_size=5))
+    def test_one_pass_over_all_primes_matches_enumeration(self, coeffs):
+        try:
+            c = WeierstrassCurve(*coeffs)
+        except SingularModelError:
+            assume(False)
+        counts = _affine_count(coeffs, np.array(PRIMES_TO_61))
+        assert counts.tolist() == [_brute_affine_count(c, p) for p in PRIMES_TO_61]
+
+    @pytest.mark.parametrize("curve", [deuring_curve(alpha) for alpha in sorted(TABLE_ONE)]
+                             + [quartic_twist_curve(4), quartic_twist_curve(8)])
+    def test_one_pass_to_1200_matches_euler_criterion(self, curve):
+        spf = _smallest_prime_factors(1200)
+        primes = [n for n in range(2, 1201) if spf[n] == n]
+        counts = _affine_count(_int_coeffs(curve), np.array(primes))
+        assert counts.tolist() == [_euler_count_array(curve, p) for p in primes]
 
     def test_hasse_violation_raises(self, monkeypatch):
         # an impossible count must raise in every mode, not only without -O

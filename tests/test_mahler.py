@@ -209,6 +209,16 @@ class TestMahlerMeasures:
         n_panels = len(split_angles(poly)) - 1
         assert 0 < len(calls) <= (_TS_LEVELS + 1) * n_panels
 
+    def test_jensen_and_torus2_share_one_panel_search(self, monkeypatch):
+        calls = []
+        find = mahler.split_angles
+        monkeypatch.setattr(mahler, "split_angles", lambda p: calls.append(1) or find(p))
+        poly = family_poly(FamilySpec("Q", 5.0))
+        fast = mahler_quadratic_y(poly)
+        slow = mahler_torus2(poly, Tolerance(absolute=1e-5))
+        assert len(calls) == 1
+        assert abs(fast - slow) < 1e-4
+
     @pytest.mark.parametrize("family,alpha", [("P", 3.0), ("S", 3.0), ("Q", 5.0), ("R", 7.0)])
     def test_jensen_makes_at_most_two_integrand_calls(self, family, alpha, monkeypatch):
         # the first row call covers tanh-sinh levels 0-3; these panels stop by level 4

@@ -42,7 +42,6 @@ from .mahler import (
     eta_path_integral,
     family_poly,
     jensen_univariate,
-    mahler_family,
     mahler_quadratic_y,
     mahler_torus2,
 )

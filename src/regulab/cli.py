@@ -1,23 +1,28 @@
 """Command-line front end: verification campaigns with JSON/CSV reports.
 
-Subcommands: ``mahler`` (one measure), ``verify`` (a named campaign over a
-grid / table / derivation chain), ``regulator`` (the dilogarithm ratio for
-one parameter).  Reports are printed as a human table by default; --json
-emits the fixed machine-readable schema and --csv a flat record table.
-Exit code 0 means every record passed, 1 a failed or non-converging
-check, 2 invalid input.
+Subcommands: ``mahler`` (one measure), ``verify`` (a named campaign from
+``CAMPAIGNS``), ``regulator`` (2 pi m(P_alpha) / |D^E(x <> y)| against 1
+for one parameter).  Each campaign row holds its record functions with
+their default parameters, its default tolerance and the verify options it
+takes; an option a campaign does not take exits 2, and an explicit --tol
+replaces the row's tolerance.  Reports are printed as a human table by
+default; --json emits the fixed machine-readable schema and --csv a flat
+record table.  Exit code 0 means every record passed, 1 a failed or
+non-converging check, 2 invalid input.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import sys
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import __version__
 from .dilogarithm import UnresolvedPointError
@@ -39,7 +44,7 @@ from .lfunctions import (
 )
 from .mahler import FamilySpec, family_poly, mahler_quadratic_y, mahler_torus2
 from .numerics import DegenerateInputError, NoConvergenceError, Tolerance
-from .periods import change_of_variable_check, verify_period_identity
+from .periods import MAP_IDS, change_of_variable_check, verify_period_identity
 
 TWO_PI = 2.0 * math.pi
 
@@ -150,126 +155,116 @@ def cmd_mahler(args) -> Report:
     return rep
 
 
-def _bz1_record(alpha, tol):
-    m_s = mahler_quadratic_y(family_poly(FamilySpec("S", alpha)))
-    m_p = mahler_quadratic_y(family_poly(FamilySpec("P", alpha)))
+def _measure(family, alpha):
+    return mahler_quadratic_y(family_poly(FamilySpec(family, alpha)))
+
+
+def _bz1(alpha, tol):
+    m_s, m_p = _measure("S", alpha), _measure("P", alpha)
     if alpha < 0:
-        return Record(f"m(S_{alpha:g})=m(P_{alpha:g})", m_s, m_p, abs(m_s - m_p), tol)
-    return Record(f"m(S_{alpha:g})=2m(P_{alpha:g})", m_s, 2 * m_p, abs(m_s - 2 * m_p), tol)
+        return [Record(f"m(S_{alpha:g})=m(P_{alpha:g})", m_s, m_p, abs(m_s - m_p), tol)]
+    return [Record(f"m(S_{alpha:g})=2m(P_{alpha:g})", m_s, 2 * m_p, abs(m_s - 2 * m_p), tol)]
 
 
-def _bz2_record(alpha, tol):
-    m_q = mahler_quadratic_y(family_poly(FamilySpec("Q", alpha)))
-    m_r = mahler_quadratic_y(family_poly(FamilySpec("R", alpha + 2)))
-    return Record(f"m(Q_{alpha:g})=m(R_{alpha + 2:g})", m_q, m_r, abs(m_q - m_r), tol)
+def _bz2(alpha, tol):
+    m_q, m_r = _measure("Q", alpha), _measure("R", alpha + 2)
+    return [Record(f"m(Q_{alpha:g})=m(R_{alpha + 2:g})", m_q, m_r, abs(m_q - m_r), tol)]
 
 
-_LEMMA_GRIDS = {
-    "p-doubled-vs-s": [0.5 * k for k in range(1, 16)],
-    "p-vs-s": [-1.5, -2.0, -5.0, -20.0],
+def _residual(check, which, alpha, tol):
+    """A period identity or a substitution: ``check(which, alpha, tol)``."""
+    r = check(which, alpha, Tolerance(absolute=tol))
+    return [Record(f"{which}@{alpha:g}", r.lhs, r.rhs, r.residual, tol)]
+
+
+def _table1(alpha, tol, overrides=None):
+    ratio = float(TABLE_ONE[alpha][0])
+    value = _measure("P", alpha) / l_prime_zero(table_one_lseries(alpha, overrides=overrides))
+    return [Record(f"ratio@alpha={alpha}", value, ratio, abs(value - ratio), tol)]
+
+
+def _derivation(chain, tol):
+    """One record per step of an exact chain; its residual counts the points left over."""
+    records = []
+    for step in derive_equivalence(chain).steps:
+        delta = step.lhs - step.rhs
+        if step.modulo_self_inverse:
+            delta = strip_self_inverse(delta)
+        n_bad = sum(1 for _, m in delta.items() if m != 0)
+        records.append(Record(f"{chain}:{step.name}", 0.0, 0.0, float(n_bad), tol))
+    return records
+
+
+@functools.lru_cache(maxsize=None)
+def _steinberg_class(family):
+    cat = family_divisor_catalog(family)
+    return diamond(cat["steinberg_f"], cat["steinberg_1mf"])
+
+
+def _steinberg(family, param, tol):
+    val = family_embedding(family, param).elliptic_dilog_of(_steinberg_class(family))
+    return [Record(f"{family}-steinberg@{param:g}", val, 0.0, abs(val), tol)]
+
+
+class Campaign(NamedTuple):
+    """A ``regulab verify`` target, also run by the acceptance gate."""
+
+    cases: list  # (record function (param, tol) -> [Record], default params)
+    tol: float  # default --tol
+    options: tuple = ()  # verify options it takes; a grid replaces every case's params
+
+    def records(self, tol=None, grid=None, **kw) -> list:
+        tol = self.tol if tol is None else tol
+        return [rec for record, params in self.cases
+                for a in (params if grid is None else grid)
+                for rec in record(a, tol, **kw)]
+
+
+_NEGATIVE = (-1.5, -2.0, -5.0, -20.0)
+_PERIOD = functools.partial(_residual, verify_period_identity)
+_MAP = functools.partial(_residual, change_of_variable_check)
+
+CAMPAIGNS = {
+    "bz1": Campaign([(_bz1, (0.5, 1.0, 2.0, 3.0, 3.5))], 1e-6, ("grid",)),
+    "bz2": Campaign([(_bz2, (4.0, 5.0, 6.5, 10.0))], 1e-6, ("grid",)),
+    "lemma32": Campaign(
+        [(functools.partial(_PERIOD, "p-doubled-vs-s"), tuple(0.5 * k for k in range(1, 16))),
+         (functools.partial(_PERIOD, "p-vs-s"), _NEGATIVE),
+         (functools.partial(_MAP, "shift-scale"), (0.5, 3.0, 7.5) + _NEGATIVE)]
+        + [(functools.partial(_MAP, m), _NEGATIVE) for m in MAP_IDS if m != "shift-scale"],
+        1e-8),
+    "sec42": Campaign([(functools.partial(_PERIOD, "q-vs-r"), (4.0, 5.0, 8.0, 12.0))], 1e-8,
+                      ("grid",)),
+    "table1": Campaign([(_table1, tuple(sorted(TABLE_ONE)))], 1e-4, ("ap_overrides",)),
+    "diamonds": Campaign([(_derivation, ("S", "QR"))], 0.5),
+    "steinberg": Campaign([(functools.partial(_steinberg, f), (1.0, 3.0)) for f in "SR"], 1e-6),
 }
-_COV_GRIDS = {
-    "shift-scale": [0.5, 3.0, 7.5, -1.5, -2.0, -5.0, -20.0],
-    "mobius-involution": [-1.5, -2.0, -5.0, -20.0],
-    "reciprocal-t": [-1.5, -2.0, -5.0, -20.0],
-    "reciprocal-w": [-1.5, -2.0, -5.0, -20.0],
-    "degree2-isogeny": [-1.5, -2.0, -5.0, -20.0],
-    "parameter-rescale": [-1.5, -2.0, -5.0, -20.0],
-}
-_SEC42_GRID = [4.0, 5.0, 8.0, 12.0]
 
 
 def cmd_verify(args) -> Report:
-    tol = args.tol
+    campaign = CAMPAIGNS[args.target]
+    tol = campaign.tol if args.tol is None else args.tol
     rep = Report("verify", {"target": args.target, "grid": args.grid, "tol": tol})
-
-    if args.target == "bz1":
-        grid = parse_grid(args.grid) if args.grid else [0.5, 1.0, 2.0, 3.0, 3.5]
-        rep.records = [_bz1_record(a, tol) for a in grid]
-    elif args.target == "bz2":
-        grid = parse_grid(args.grid) if args.grid else [4.0, 5.0, 6.5, 10.0]
-        rep.records = [_bz2_record(a, tol) for a in grid]
-    elif args.target == "lemma32":
-        ptol = Tolerance(absolute=min(tol, 1e-8))
-        for which, grid in _LEMMA_GRIDS.items():
-            for a in grid:
-                r = verify_period_identity(which, a, ptol)
-                rep.records.append(Record(f"{which}@{a:g}", r.lhs, r.rhs,
-                                          r.residual, ptol.absolute))
-        for map_id, grid in _COV_GRIDS.items():
-            for a in grid:
-                r = change_of_variable_check(map_id, a, ptol)
-                rep.records.append(Record(f"{map_id}@{a:g}", r.lhs, r.rhs,
-                                          r.residual, ptol.absolute))
-    elif args.target == "sec42":
-        ptol = Tolerance(absolute=min(tol, 1e-8))
-        for a in (parse_grid(args.grid) if args.grid else _SEC42_GRID):
-            r = verify_period_identity("q-vs-r", a, ptol)
-            rep.records.append(Record(f"q-vs-r@{a:g}", r.lhs, r.rhs,
-                                      r.residual, ptol.absolute))
-            r = change_of_variable_check("qr-mobius", a, ptol)
-            rep.records.append(Record(f"qr-mobius@{a:g}", r.lhs, r.rhs,
-                                      r.residual, ptol.absolute))
-    elif args.target == "table1":
-        overrides = None
-        if args.ap_overrides:
-            with open(args.ap_overrides, encoding="utf-8") as fh:
-                overrides = parse_override_file(fh.read())
-        rtol = max(tol, 1e-4) if tol == 1e-6 else tol  # table ratios hold to 1e-4
-
-        def row(alpha):
-            ratio_expected, _n = TABLE_ONE[alpha]
-            series = table_one_lseries(alpha, overrides=overrides)
-            lp = l_prime_zero(series)
-            m = mahler_quadratic_y(family_poly(FamilySpec("P", alpha)))
-            return Record(f"ratio@alpha={alpha}", m / lp, float(ratio_expected),
-                          abs(m / lp - float(ratio_expected)), rtol)
-
-        rep.records = [row(a) for a in sorted(TABLE_ONE)]
-    elif args.target == "diamonds":
-        for chain in ("S", "QR"):
-            report = derive_equivalence(chain)
-            for step in report.steps:
-                delta = step.lhs - step.rhs
-                if step.modulo_self_inverse:
-                    delta = strip_self_inverse(delta)
-                n_bad = sum(1 for _, m in delta.items() if m != 0)
-                rep.records.append(
-                    Record(f"{chain}:{step.name}", 0.0, 0.0, float(n_bad), 0.5)
-                )
-    elif args.target == "steinberg":
-        for family, params in (("S", (1.0, 3.0)), ("R", (1.0, 3.0))):
-            cat = family_divisor_catalog(family)
-            st = diamond(cat["steinberg_f"], cat["steinberg_1mf"])
-            for a in params:
-                emb = family_embedding(family, a)
-                val = emb.elliptic_dilog_of(st)
-                rep.records.append(
-                    Record(f"{family}-steinberg@{a:g}", val, 0.0, abs(val), tol)
-                )
-    else:
-        raise DegenerateInputError(f"unknown verify target {args.target!r}")
+    for option in ("grid", "ap_overrides"):
+        if getattr(args, option) is not None and option not in campaign.options:
+            raise DegenerateInputError(
+                f"--{option.replace('_', '-')} does not apply to verify {args.target}")
+    kw = {}
+    if args.ap_overrides is not None:
+        with open(args.ap_overrides, encoding="utf-8") as fh:
+            kw["overrides"] = parse_override_file(fh.read())
+    rep.records = campaign.records(tol, None if args.grid is None else parse_grid(args.grid), **kw)
     return rep
 
 
 def cmd_regulator(args) -> Report:
-    from .divisors import GROUP_P, canonicalize_minus, _div
-
     rep = Report("regulator", {"family": args.family, "alpha": args.alpha})
     if args.family.upper() != "P":
         raise DegenerateInputError("the regulator ratio is defined for the cubic family")
-    a = args.alpha
-    m = mahler_quadratic_y(family_poly(FamilySpec("P", a)))
-    emb = family_embedding("P", a)
-    div = canonicalize_minus(_div(GROUP_P, (-6, dict(P=1)), (-6, dict(P=2))))
-    dval = emb.elliptic_dilog_of(div)
-    ratio = TWO_PI * m / abs(dval)
-    # informational records; the ratio is reported, not asserted equal to 1
-    # (only a generous magnitude sanity bound), so tolerances stay finite
-    # for strict-JSON output
-    rep.records.append(Record("2*pi*m", TWO_PI * m, TWO_PI * m, 0.0, 1.0))
-    rep.records.append(Record("elliptic_dilog", dval, dval, 0.0, 1.0))
-    rep.records.append(Record("ratio", ratio, 1.0, abs(ratio - 1.0), 1.0))
+    cat = family_divisor_catalog("P")
+    dval = family_embedding("P", args.alpha).elliptic_dilog_of(diamond(cat["x"], cat["y"]))
+    ratio = TWO_PI * _measure("P", args.alpha) / abs(dval)
+    rep.records.append(Record("ratio", ratio, 1.0, abs(ratio - 1.0), args.tol))
     return rep
 
 
@@ -281,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--tol", type=float, default=1e-6)
+    def common(p, tol=1e-6):
+        p.add_argument("--tol", type=float, default=tol)
         p.add_argument("--json", action="store_true")
         p.add_argument("--csv", action="store_true")
 
@@ -294,11 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
     m.set_defaults(fn=cmd_mahler)
 
     v = sub.add_parser("verify", help="run a named verification campaign")
-    v.add_argument("target", choices=["bz1", "bz2", "lemma32", "sec42",
-                                      "table1", "diamonds", "steinberg"])
-    v.add_argument("--grid", help="a:b:step inclusive grid")
-    v.add_argument("--ap-overrides", help="file of 'p a_p' lines for bad primes")
-    common(v)
+    v.add_argument("target", choices=list(CAMPAIGNS))
+    v.add_argument("--grid", help="a:b:step inclusive grid, for campaigns that take one")
+    v.add_argument("--ap-overrides", help="file of 'p a_p' lines for bad primes (table1)")
+    common(v, tol=None)  # None: the campaign's own tolerance
     v.set_defaults(fn=cmd_verify)
 
     r = sub.add_parser("regulator", help="dilogarithm ratio for one parameter")

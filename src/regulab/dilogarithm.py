@@ -178,16 +178,19 @@ def elliptic_dilog_divisor(embedding, divisor, tol: Tolerance = Tolerance(absolu
     ``embedding`` maps each symbolic point of ``divisor`` to a QPoint
     (a mapping, or a callable).  Well-defined on the inversion quotient
     because D^E(-P) = -D^E(P).  Points on the same lattice q^Z are
-    summed in one array call.
+    summed in one array call.  ``tol`` bounds the whole sum: each point
+    gets tol / sum |m|.
     """
     lookup = embedding if callable(embedding) else embedding.get
+    items = list(divisor.items())
+    point_tol = tol.absolute / max(1, sum(abs(m) for _, m in items))
     by_q = {}  # q -> ([z], [multiplicity])
-    for point, mult in divisor.items():
+    for point, mult in items:
         qp = lookup(point)
         if qp is None:
             raise UnresolvedPointError(f"no embedding for point {point}")
         zs, mults = by_q.setdefault(qp.q, ([], []))
         zs.append(qp.z)
         mults.append(mult)
-    return sum(float(np.dot(mults, _elliptic_dilogs(q, zs, tol.absolute)))
+    return sum(float(np.dot(mults, _elliptic_dilogs(q, zs, point_tol)))
                for q, (zs, mults) in by_q.items())

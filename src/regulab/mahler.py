@@ -315,16 +315,6 @@ def mahler_torus2(p: BivariatePoly, tol: Tolerance = Tolerance(absolute=1e-5)) -
     return total / math.pi
 
 
-def mahler_family(family: str, alpha: float, method: str = "jensen",
-                  tol: Tolerance = Tolerance(absolute=1e-10)) -> float:
-    p = family_poly(FamilySpec(family, alpha))
-    if method == "jensen":
-        return mahler_quadratic_y(p, tol)
-    if method == "torus2":
-        return mahler_torus2(p, Tolerance(absolute=max(tol.absolute, 1e-6)))
-    raise DegenerateInputError(f"unknown method {method!r}")
-
-
 # ---------------------------------------------------------------------------
 # path integrals of eta(x, y) = log|x| d arg y - log|y| d arg x
 # ---------------------------------------------------------------------------

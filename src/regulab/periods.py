@@ -8,9 +8,9 @@ rule reach ~1e-12 instead of the ~1e-8 cap of the naive form.
 
 The change-of-variables catalog records the substitutions that chain the
 S-side integral to the P-side one (a shift/scale, a Mobius involution,
-two reciprocal shifts, a degree-2 isogeny, a parameter rescaling) plus
-the Mobius map connecting the Q and R families; every map is checked by
-computing both definite integrals independently.
+two reciprocal shifts, a degree-2 isogeny, a parameter rescaling); every
+map is checked by computing both definite integrals independently.  The
+Q and R integrals are compared directly by the ``q-vs-r`` identity.
 """
 
 from __future__ import annotations
@@ -332,7 +332,6 @@ MAP_IDS = (
     "reciprocal-w",       # w = 1/(1+v)
     "degree2-isogeny",    # u = v - c + (alpha+1)/v
     "parameter-rescale",  # beta = -8/alpha (pointwise integrand identity)
-    "qr-mobius",          # t = ((alpha+1)s + alpha - 1)/(2(2s + alpha - 2))
 )
 
 
@@ -341,6 +340,10 @@ def change_of_variable_check(map_id: str, param: float,
     """Recompute both sides of one substitution identity independently."""
     a = param
     inner = Tolerance(absolute=tol.absolute * 1e-3)
+    if map_id not in MAP_IDS:
+        raise DegenerateInputError(f"unknown map {map_id!r}")
+    if map_id != "shift-scale" and not a < -1.0:
+        raise MapDomainError(f"{map_id} needs alpha < -1")
     if map_id == "shift-scale":
         # maps the S-cycle to the symmetric quartic in s
         lhs = _s_integral(a, inner)[1].value
@@ -351,42 +354,21 @@ def change_of_variable_check(map_id: str, param: float,
         else:
             raise MapDomainError("shift-scale needs 0<alpha<8 or alpha<-1")
     elif map_id == "mobius-involution":
-        if not a < -1.0:
-            raise MapDomainError("involution form needs alpha < -1")
         lhs = _k_integral(a, "outer", inner)[1].value
         rhs = _k_integral(a, "inner", inner)[1].value
     elif map_id == "reciprocal-t":
-        if not a < -1.0:
-            raise MapDomainError("reciprocal-t needs alpha < -1")
         lhs = _p_integral(a, inner)[1].value
         rhs = 0.5 * _u_integral(a, inner).value
     elif map_id == "reciprocal-w":
-        if not a < -1.0:
-            raise MapDomainError("reciprocal-w needs alpha < -1")
         lhs = _k_integral(a, "inner", inner)[1].value
         rhs = 0.5 * _v_integral(a, inner).value
     elif map_id == "degree2-isogeny":
-        if not a < -1.0:
-            raise MapDomainError("isogeny form needs alpha < -1")
         lhs = _u_integral(a, inner).value
         rhs = _v_integral(a, inner).value
-    elif map_id == "parameter-rescale":
-        if a == 0.0:
-            raise MapDomainError("rescale undefined at alpha = 0")
-        if not a < -1.0:
-            raise MapDomainError("rescale check needs alpha < -1")
+    else:  # parameter-rescale
         beta = -8.0 / a
         lhs = _p_integral(a, inner)[1].value
         rhs = abs(beta) / 4.0 * _k_integral(beta, "unit", inner)[1].value
-    elif map_id == "qr-mobius":
-        if not a >= 4.0:
-            raise MapDomainError("qr-mobius needs alpha >= 4")
-        if 2.0 * 1.0 + a - 2.0 == 0.0:
-            raise MapDomainError("qr-mobius pole")
-        lhs = _q_integral(a, inner)[1].value
-        rhs = _r_integral(a + 2.0, inner)[1].value
-    else:
-        raise DegenerateInputError(f"unknown map {map_id!r}")
     return ResidualReport(map_id, param, lhs, rhs, tol.absolute)
 
 

@@ -10,27 +10,19 @@ import time
 
 import numpy as np
 
+from regulab.cli import CAMPAIGNS
 from regulab.dilogarithm import bloch_wigner
 from regulab.divisors import (
     GROUP_P,
     _div,
     canonicalize_minus,
     derive_equivalence,
-    diamond,
-    family_divisor_catalog,
     family_embedding,
 )
 from regulab.elliptic import deuring_curve
-from regulab.lfunctions import (
-    TABLE_ONE,
-    ap_table,
-    l_prime_zero,
-    lambda_completed,
-    table_one_lseries,
-)
+from regulab.lfunctions import TABLE_ONE, ap_table, lambda_completed, table_one_lseries
 from regulab.mahler import FamilySpec, family_poly, mahler_quadratic_y, mahler_torus2
 from regulab.numerics import Tolerance, integrate_endpoint_singular
-from regulab.periods import change_of_variable_check, verify_period_identity
 
 TWO_PI = 2.0 * math.pi
 
@@ -43,11 +35,14 @@ def _measure(family: str, alpha: float) -> float:
     return mahler_quadratic_y(family_poly(FamilySpec(family, alpha)))
 
 
+def _worst_residual(*targets) -> float:
+    """Largest residual over the default records of ``regulab verify`` campaigns."""
+    return max(r.residual for t in targets for r in CAMPAIGNS[t].records())
+
+
 def test_ac1_doubling_identity_positive_parameters():
     t0 = time.time()
-    worst = 0.0
-    for a in (0.5, 1.0, 2.0, 3.0, 3.5):
-        worst = max(worst, abs(_measure("S", a) - 2.0 * _measure("P", a)))
+    worst = _worst_residual("bz1")
     dt = time.time() - t0
     ok = worst < 1e-6 and dt < 30.0
     _emit("AC-1", ok, f"max residual {worst:.2e}, {dt:.1f}s")
@@ -64,9 +59,7 @@ def test_ac2_equality_identity_negative_parameters():
 
 
 def test_ac3_quartic_family_identity():
-    worst = 0.0
-    for a in (4.0, 5.0, 6.5, 10.0):
-        worst = max(worst, abs(_measure("Q", a) - _measure("R", a + 2.0)))
+    worst = _worst_residual("bz2")
     ok = worst < 1e-6
     _emit("AC-3", ok, f"max residual {worst:.2e}")
     assert ok
@@ -74,11 +67,7 @@ def test_ac3_quartic_family_identity():
 
 def test_ac4_measure_to_lvalue_ratios():
     t0 = time.time()
-    worst = 0.0
-    for alpha, (ratio, _conductor) in TABLE_ONE.items():
-        lp = l_prime_zero(table_one_lseries(alpha))
-        m = _measure("P", float(alpha))
-        worst = max(worst, abs(m / lp - float(ratio)))
+    worst = _worst_residual("table1")
     dt = time.time() - t0
     ok = worst < 1e-4 and dt < 60.0
     _emit("AC-4", ok, f"max ratio residual {worst:.2e}, {dt:.1f}s")
@@ -106,39 +95,15 @@ def test_ac6_exact_divisor_derivations():
 
 
 def test_ac7_period_identities_and_substitutions():
-    tol = Tolerance(absolute=1e-8)
-    worst = 0.0
-    for a in [0.5 * k for k in range(1, 16)]:
-        worst = max(worst, verify_period_identity("p-doubled-vs-s", a, tol).residual)
-    for a in (-1.5, -2.0, -5.0, -20.0):
-        worst = max(worst, verify_period_identity("p-vs-s", a, tol).residual)
-    for a in (4.0, 5.0, 8.0, 12.0):
-        worst = max(worst, verify_period_identity("q-vs-r", a, tol).residual)
-    cov = {
-        "shift-scale": (0.5, 3.0, 7.5, -1.5, -2.0, -5.0, -20.0),
-        "mobius-involution": (-1.5, -2.0, -5.0, -20.0),
-        "reciprocal-t": (-1.5, -2.0, -5.0, -20.0),
-        "reciprocal-w": (-1.5, -2.0, -5.0, -20.0),
-        "degree2-isogeny": (-1.5, -2.0, -5.0, -20.0),
-        "parameter-rescale": (-1.5, -2.0, -5.0, -20.0),
-        "qr-mobius": (4.0, 5.0, 8.0, 12.0),
-    }
-    for map_id, grid in cov.items():
-        for a in grid:
-            worst = max(worst, change_of_variable_check(map_id, a, tol).residual)
+    # the lemma32 and sec42 campaigns run at their own tolerance, 1e-8
+    worst = _worst_residual("lemma32", "sec42")
     ok = worst < 1e-8
     _emit("AC-7", ok, f"max residual {worst:.2e}")
     assert ok
 
 
 def test_ac8_steinberg_symbols_vanish():
-    worst = 0.0
-    for family in ("S", "R"):
-        cat = family_divisor_catalog(family)
-        st = diamond(cat["steinberg_f"], cat["steinberg_1mf"])
-        for a in (1.0, 3.0):
-            emb = family_embedding(family, a)
-            worst = max(worst, abs(emb.elliptic_dilog_of(st)))
+    worst = _worst_residual("steinberg")
     ok = worst < 1e-6
     _emit("AC-8", ok, f"max |dilog| {worst:.2e}")
     assert ok

@@ -135,6 +135,32 @@ class TestMain:
         assert main(["verify", "diamonds"]) == code
         assert capsys.readouterr().err.startswith(prefix)
 
+    @pytest.mark.parametrize("target", ["lemma32", "table1", "diamonds", "steinberg"])
+    def test_grid_on_a_campaign_without_one_exits_two(self, target, capsys):
+        assert main(["verify", target, "--grid", "1:2:1"]) == 2
+        assert "--grid does not apply" in capsys.readouterr().err
+
+    def test_ap_overrides_outside_table1_exits_two(self, tmp_path, capsys):
+        overrides = tmp_path / "ap.txt"
+        overrides.write_text("2 0\n", encoding="utf-8")
+        assert main(["verify", "bz1", "--ap-overrides", str(overrides)]) == 2
+        assert "--ap-overrides does not apply" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target,tol", [("table1", 1e-6), ("sec42", 1e-6),
+                                            ("diamonds", 0.25)])
+    def test_explicit_tol_is_honoured(self, target, tol, capsys):
+        main(["verify", target, "--tol", str(tol), "--json"])
+        data = json.loads(capsys.readouterr().out)
+        assert data["params"]["tol"] == tol
+        assert {r["tol"] for r in data["records"]} == {tol}
+
+    def test_regulator_verdict_follows_tol(self, capsys):
+        # one record, judged at --tol: the ratio is 1 to about 2e-14 at alpha = 3
+        assert main(["regulator", "--alpha", "3", "--tol", "1e-16", "--json"]) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert [r["name"] for r in data["records"]] == ["ratio"]
+        assert data["records"][0]["tol"] == 1e-16
+
     def test_regulator_requires_cubic_family(self, capsys):
         code = main(["regulator", "--family", "Q", "--alpha", "5"])
         assert code == 2
@@ -167,6 +193,11 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["--version"])
         assert exc.value.code == 0
+
+    def test_unknown_mahler_method_rejected(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["mahler", "--family", "P", "--alpha", "3",
+                                       "--method", "nope"])
 
     def test_family_choices_case_insensitive(self):
         args = build_parser().parse_args(["mahler", "--family", "p", "--alpha", "1"])

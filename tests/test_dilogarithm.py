@@ -143,8 +143,9 @@ class TestEllipticDilog:
         p = u_to_qz(emb.generator_logs[name], emb.lattice)
         assert abs(elliptic_dilog(p, Tolerance(absolute=1e-12)) - _mp_elliptic_dilog(p)) <= 1e-12
 
-    @pytest.mark.parametrize("family, param", [("P", 3.0), ("P", -2.5), ("S", 6.0), ("S", 10.0),
-                                               ("Q", 5.0), ("Q", 7.5), ("R", 7.0), ("R", 9.0)])
+    @pytest.mark.parametrize("family, param", [("P", 3.0), ("P", -2.5), ("S", 1.0), ("S", 6.0),
+                                               ("S", 10.0), ("Q", 5.0), ("Q", 7.5), ("R", 7.0),
+                                               ("R", 9.0)])
     def test_divisor_classes_against_a_40_digit_sum(self, family, param):
         # one array call per class, against a 40-digit sum per point
         emb = family_embedding(family, param)

@@ -15,7 +15,6 @@ from regulab.mahler import (
     family_poly,
     jensen_path_eta,
     jensen_univariate,
-    mahler_family,
     mahler_quadratic_y,
     mahler_torus2,
     split_angles,
@@ -105,14 +104,15 @@ class TestMahlerMeasures:
         [("P", 3.0), ("P", -2.0), ("S", 1.0), ("Q", 5.0), ("R", 7.0)],
     )
     def test_two_methods_agree(self, family, alpha):
-        fast = mahler_family(family, alpha, method="jensen")
-        slow = mahler_family(family, alpha, method="torus2")
+        poly = family_poly(FamilySpec(family, alpha))
+        fast = mahler_quadratic_y(poly)
+        slow = mahler_torus2(poly, Tolerance(absolute=1e-6))
         assert abs(fast - slow) < 1e-4
 
     def test_boundary_parameter_converges(self):
         # at alpha = 4 the zero locus of the base family meets the torus
         # along a whole arc; the panel splitter must isolate it exactly
-        val = mahler_family("P", 4.0)
+        val = mahler_quadratic_y(family_poly(FamilySpec("P", 4.0)))
         assert abs(val - 0.799134279601) < 1e-8
 
     def test_split_angles_find_arc_boundary(self):
@@ -250,13 +250,9 @@ class TestMahlerMeasures:
         with pytest.raises(DegenerateInputError):
             mahler._log_plus_sum(np.array([1.0, 0.0]), b[:2], c[:2])
 
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            mahler_family("P", 3.0, method="nope")
-
     def test_measure_nonnegative_for_integer_families(self):
         for family, alpha in (("P", 1.0), ("S", 3.0), ("Q", 6.0), ("R", 8.0)):
-            assert mahler_family(family, alpha) >= -1e-12
+            assert mahler_quadratic_y(family_poly(FamilySpec(family, alpha))) >= -1e-12
 
 
 class TestPathIntegral:
@@ -265,12 +261,12 @@ class TestPathIntegral:
         # leading coefficient); the base family's leading term 1 + x has
         # measure 0
         alpha = 3.0
-        m = mahler_family("P", alpha)
+        m = mahler_quadratic_y(family_poly(FamilySpec("P", alpha)))
         path = jensen_path_eta(FamilySpec("P", alpha))
         assert abs(path + 2 * math.pi * m) < 1e-7
 
     def test_second_parameter(self):
         alpha = 1.0
-        m = mahler_family("P", alpha)
+        m = mahler_quadratic_y(family_poly(FamilySpec("P", alpha)))
         path = jensen_path_eta(FamilySpec("P", alpha))
         assert abs(path + 2 * math.pi * m) < 1e-7

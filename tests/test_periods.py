@@ -77,9 +77,7 @@ class TestIdentities:
 class TestChangeOfVariable:
     @pytest.mark.parametrize("map_id", MAP_IDS)
     def test_substitutions_close(self, map_id):
-        if map_id in ("qr-mobius",):
-            params = (5.0, 8.0)
-        elif map_id in ("reciprocal-t", "reciprocal-w", "degree2-isogeny",
+        if map_id in ("reciprocal-t", "reciprocal-w", "degree2-isogeny",
                         "parameter-rescale"):
             params = (-2.0, -5.0)
         else:

@@ -5,7 +5,9 @@ Fraction coordinates and works unchanged on float/complex ones.  Period
 lattices come from Carlson symmetric integrals on the shifted cubic
 (2y+a1*x+a3)^2 = 4x^3+b2*x^2+2*b4*x+b6, and so does the elliptic
 logarithm: the Abel map u = int dx/(2y+a1*x+a3) from infinity to any
-finite point, real or complex, is one R_F along a ray to infinity.
+finite point, real or complex, is one R_F along a ray to infinity.  So is
+a complete integral of 1/sqrt(cubic or quartic) between adjacent real
+roots (``complete_integral``), which gives the families' cycle integrals.
 
 Model bundles for the four polynomial families record the Weierstrass
 target, the intermediate genus-2 quotient cubic, and the coordinate
@@ -179,6 +181,39 @@ class PeriodLattice:
 
 def _rf(x, y, z):
     return complex(scipy.special.elliprf(complex(x), complex(y), complex(z)))
+
+
+def complete_integral(factors, y: float, x: float) -> float:
+    """int_y^x dt / sqrt(prod (a_i + b_i t)) over three or four linear factors (a_i, b_i).
+
+    Carlson's closed form (DLMF 19.29.4): 2 R_F(U12^2, U13^2, U14^2) with
+    U_ij = (X_i X_j Y_k Y_l + Y_i Y_j X_k X_l) / (x - y), where
+    X_i = sqrt(a_i + b_i x) and Y_i = sqrt(a_i + b_i y).  Three factors get
+    the constant fourth factor (1, 0), and x = inf takes the limit
+    2 R_F(b1 b2 Y3^2, b1 b3 Y2^2, b2 b3 Y1^2).  Each factor must be
+    positive on (y, x), or be one of a complex-conjugate pair whose product
+    is; a factor that vanishes at a limit should evaluate to exactly 0 there.
+    Raises DegenerateInputError where the result is not finite and real
+    (a divergent integral, or factors that violate the sign condition).
+    """
+    f = list(factors) + [(1.0, 0.0)] * (len(factors) == 3)
+    if len(f) != 4 or not y < x:
+        raise DegenerateInputError("need three or four factors and y < x")
+    (_, b1), (_, b2), (_, b3), (_, b4) = f
+    y_sq = [a + b * y for a, b in f]
+    if x == math.inf:
+        if b4 != 0:
+            raise DegenerateInputError("an infinite limit needs a cubic")
+        args = (b1 * b2 * y_sq[2], b1 * b3 * y_sq[1], b2 * b3 * y_sq[0])
+    else:
+        ys = [cmath.sqrt(v) for v in y_sq]
+        xs = [cmath.sqrt(a + b * x) for a, b in f]
+        args = [((xs[i] * xs[j] * ys[k] * ys[m] + ys[i] * ys[j] * xs[k] * xs[m]) / (x - y)) ** 2
+                for i, j, k, m in ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))]
+    value = 2.0 * _rf(*args)
+    if not (cmath.isfinite(value) and abs(value.imag) <= 1e-12 * abs(value.real)):
+        raise DegenerateInputError(f"the integral is not finite and real ({value})")
+    return value.real
 
 
 def period_lattice(c: WeierstrassCurve) -> PeriodLattice:

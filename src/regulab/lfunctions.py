@@ -71,6 +71,7 @@ class LSeries:
             raise ValueError("sign must be +-1")
         if self.coefficients[1] != 1:
             raise ValueError("a_1 must be 1")
+        self._a = np.array(self.coefficients, dtype=float)  # for _half_sum, made once
 
     @property
     def bound(self) -> int:
@@ -275,21 +276,16 @@ def _upper_gamma(s: float, x: np.ndarray) -> np.ndarray:
 def _half_sum(series: LSeries, s: float, cutoff: float, m: int) -> float:
     """sum_{n<=m} a_n (sqrt(N)/(2 pi n))^s Gamma(s, 2 pi n t / sqrt(N)), over a_n != 0."""
     rtn = math.sqrt(series.conductor)
-    a = np.array(series.coefficients[1:m + 1], dtype=float)
+    a = series._a[1:m + 1]
     nonzero = np.flatnonzero(a)
     n = nonzero + 1.0
     x = 2.0 * math.pi * n * cutoff / rtn
     return float(np.sum(a[nonzero] * (rtn / (2.0 * math.pi * n)) ** s * _upper_gamma(s, x)))
 
 
-def lambda_completed(series: LSeries, s: float, m: int | None = None,
-                     cutoff: float = 1.0, tol: float = 1e-10) -> float:
-    """Completed Lambda(s) = N^{s/2} (2 pi)^{-s} Gamma(s) L(E, s).
-
-    Smoothed approximate functional equation:
-    Lambda(s) = F_t(s) + eps F_{1/t}(2 - s) with the half-sums F as in
-    _half_sum; independent of the cutoff t when eps is correct.
-    """
+def _half_sums(series: LSeries, s: float, m: int | None, cutoff: float,
+               tol: float = 1e-10) -> tuple:
+    """(F_t(s), F_{1/t}(2 - s)) of ``lambda_completed``, whatever the sign."""
     if m is None:
         m = series.bound
     if not 1 <= m <= series.bound:
@@ -300,8 +296,19 @@ def lambda_completed(series: LSeries, s: float, m: int | None = None,
         raise DegenerateInputError(
             f"tail bound {tail:.2e} exceeds tol; increase the coefficient bound"
         )
-    return (_half_sum(series, s, cutoff, m)
-            + series.epsilon * _half_sum(series, 2.0 - s, 1.0 / cutoff, m))
+    return _half_sum(series, s, cutoff, m), _half_sum(series, 2.0 - s, 1.0 / cutoff, m)
+
+
+def lambda_completed(series: LSeries, s: float, m: int | None = None,
+                     cutoff: float = 1.0, tol: float = 1e-10) -> float:
+    """Completed Lambda(s) = N^{s/2} (2 pi)^{-s} Gamma(s) L(E, s).
+
+    Smoothed approximate functional equation:
+    Lambda(s) = F_t(s) + eps F_{1/t}(2 - s) with the half-sums F as in
+    _half_sum; independent of the cutoff t when eps is correct.
+    """
+    f, g = _half_sums(series, s, m, cutoff, tol)
+    return f + series.epsilon * g
 
 
 def epsilon_detect(conductor: int, coefficients: list, m: int | None = None) -> int:
@@ -310,12 +317,10 @@ def epsilon_detect(conductor: int, coefficients: list, m: int | None = None) -> 
     For the true sign the approximate functional equation is independent
     of the splitting parameter; the wrong sign leaves an O(1) mismatch.
     """
-    best = {}
-    for eps in (1, -1):
-        trial = LSeries(conductor, eps, coefficients)
-        v1 = lambda_completed(trial, 0.7, m, cutoff=1.0)
-        v2 = lambda_completed(trial, 0.7, m, cutoff=1.35)
-        best[eps] = abs(v1 - v2)
+    series = LSeries(conductor, 1, coefficients)
+    f1, g1 = _half_sums(series, 0.7, m, 1.0)
+    f2, g2 = _half_sums(series, 0.7, m, 1.35)
+    best = {eps: abs((f1 + eps * g1) - (f2 + eps * g2)) for eps in (1, -1)}
     winner = min(best, key=best.get)
     if best[winner] > 1e-6:
         raise InconsistentDataError(

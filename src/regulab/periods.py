@@ -1,16 +1,15 @@
 """Cycle integrals of the four families and their transformation identities.
 
-Each family's real cycle integral is an integral of 1/sqrt(quartic) with
-inverse-square-root endpoint singularities.  Every integrand is built in
-"offset" form: the vanishing linear factors are expressed directly in the
-cancellation-free distances from the endpoints, which lets the tanh-sinh
-rule reach ~1e-12 instead of the ~1e-8 cap of the naive form.
+Each family's real cycle integral is a complete elliptic integral of
+1/sqrt(quartic) between adjacent real roots, so it is one Carlson R_F in
+closed form (``elliptic.complete_integral``); no quadrature is involved.
 
 The change-of-variables catalog records the substitutions that chain the
 S-side integral to the P-side one (a shift/scale, a Mobius involution,
 two reciprocal shifts, a degree-2 isogeny, a parameter rescaling); every
-map is checked by computing both definite integrals independently.  The
-Q and R integrals are compared directly by the ``q-vs-r`` identity.
+map is checked by evaluating both definite integrals, each over its own
+quartic.  The Q and R integrals are compared directly by the ``q-vs-r``
+identity.
 """
 
 from __future__ import annotations
@@ -19,13 +18,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .elliptic import family_models, period_lattice
-from .numerics import (
-    DegenerateInputError,
-    QuadratureResult,
-    Tolerance,
-    integrate_endpoint_singular,
-)
+from .elliptic import complete_integral, family_models, period_lattice
+from .numerics import DegenerateInputError, Tolerance
 
 
 class UnsupportedRegimeError(ValueError):
@@ -42,7 +36,7 @@ class CycleIntegral:
     regime: str
     integrand: str
     limits: tuple
-    value: QuadratureResult
+    value: float
 
 
 @dataclass(frozen=True)
@@ -59,7 +53,7 @@ class ResidualReport:
 
     @property
     def passed(self) -> bool:
-        return self.residual < self.tol
+        return self.residual <= self.tol
 
 
 @dataclass(frozen=True)
@@ -71,74 +65,48 @@ class RationalityReport:
     distance: float
 
 
-def _quad(f, a, b, tol):
-    """Offsets-form tanh-sinh over (a, b); f takes (off_a, off_b)."""
-    return integrate_endpoint_singular(f, a, b, tol, offsets=True)
-
-
 # ---------------------------------------------------------------------------
-# the individual integrals (all real, positive; orientation normalized away)
+# the individual integrals, each over linear factors (a, b) = a + b w.  Where
+# a root lies close to a limit outside the cycle, w is measured from that
+# limit and a holds the factor's value there, computed without cancellation.
 # ---------------------------------------------------------------------------
 
 
-def _p_integral(alpha: float, tol: Tolerance):
+def _p_integral(alpha: float):
     """int dt / sqrt(t (1-t) ((alpha-4t)^2 - 16t)) over the bounded cycle."""
     if 0.0 < alpha < 8.0:
+        # (alpha-4t)^2 - 16t = 16 (t_lo - t)(t_hi - t); t_hi - t_lo = s
         s = math.sqrt(alpha + 1.0)
-        t_lo = (alpha + 2.0 - 2.0 * s) / 4.0  # smaller root of the quadratic
-        t_hi = (alpha + 2.0 + 2.0 * s) / 4.0
-        gap = t_hi - t_lo
-        one_m = 1.0 - t_lo
-
-        def f(da, db):
-            return 1.0 / math.sqrt(16.0 * da * db * (one_m + db) * (gap + db))
-
-        return (0.0, t_lo), _quad(f, 0.0, t_lo, tol)
-    if alpha <= -1.0:
-
-        def f(da, db):
-            t = da if da <= db else 1.0 - db
-            quad = (16.0 * t - (8.0 * alpha + 16.0)) * t + alpha * alpha
-            return 1.0 / math.sqrt(da * db * quad)
-
-        return (0.0, 1.0), _quad(f, 0.0, 1.0, tol)
+        t_lo = alpha * alpha / (4.0 * (alpha + 2.0 + 2.0 * s))
+        one_m = (8.0 - alpha) * (s + 1.0) / (4.0 * (s + 3.0))  # 1 - t_lo
+        factors = ((t_lo, -1.0), (one_m, 1.0), (0.0, 16.0), (s, 1.0))  # w = t_lo - t
+        return (0.0, t_lo), complete_integral(factors, 0.0, t_lo)
+    if alpha < -1.0:
+        # the quadratic is 16 (t - r)(t - conj r)
+        r = complex((alpha + 2.0) / 4.0, math.sqrt(-1.0 - alpha) / 2.0)
+        factors = ((0.0, 1.0), (1.0, -1.0), (-16.0 * r, 16.0), (-r.conjugate(), 1.0))
+        return (0.0, 1.0), complete_integral(factors, 0.0, 1.0)
     raise UnsupportedRegimeError(f"family P undefined at alpha={alpha}")
 
 
-def _s_integral(alpha: float, tol: Tolerance):
+def _s_integral(alpha: float):
     """int dt / sqrt((1-t) (2t+alpha-2) (2t^2+alpha t+alpha))."""
     if 0.0 < alpha < 8.0:
-        lo = (2.0 - alpha) / 2.0
-
-        def f(da, db):
-            t = lo + da if da <= db else 1.0 - db
-            quad = (2.0 * t + alpha) * t + alpha  # positive: no real roots here
-            return 1.0 / math.sqrt(db * 2.0 * da * quad)
-
-        return (lo, 1.0), _quad(f, lo, 1.0, tol)
+        # w = t - lo on (lo, 1), lo = 1 - alpha/2; the quadratic is 2 (t - r)(t - conj r)
+        lo_m_r = complex((4.0 - alpha) / 4.0, -math.sqrt(alpha * (8.0 - alpha)) / 4.0)
+        factors = ((0.0, 2.0), (alpha / 2.0, -1.0), (2.0 * lo_m_r, 2.0), (lo_m_r.conjugate(), 1.0))
+        return ((2.0 - alpha) / 2.0, 1.0), complete_integral(factors, 0.0, alpha / 2.0)
     if alpha < -1.0:
+        # w = 1 - t on (r_lo, 1), r_lo < r_hi the roots of 2t^2 + alpha t + alpha
         disc = math.sqrt(alpha * alpha - 8.0 * alpha)
-        r_lo = (-alpha - disc) / 4.0  # roots of 2t^2 + alpha t + alpha
-        r_hi = (-alpha + disc) / 4.0
-
-        def f(da, db):
-            t = r_lo + da if da <= db else 1.0 - db
-            # -(2t+alpha-2) and -(quadratic) are both positive on the cycle
-            return 1.0 / math.sqrt(db * (2.0 - alpha - 2.0 * t) * 2.0 * (r_hi - t) * da)
-
-        return (r_lo, 1.0), _quad(f, r_lo, 1.0, tol)
+        r_lo = 2.0 * alpha / (disc - alpha)
+        gap = -4.0 * (alpha + 1.0) / (alpha + 4.0 + disc)  # r_hi - 1
+        factors = ((0.0, 1.0), (-alpha, 2.0), (2.0 * gap, 2.0), (1.0 - r_lo, -1.0))
+        return (r_lo, 1.0), complete_integral(factors, 0.0, 1.0 - r_lo)
     raise UnsupportedRegimeError(f"family S undefined at alpha={alpha}")
 
 
-def _k_quartic_roots(alpha: float):
-    """Real roots of alpha^2 s^2 + alpha (4-alpha) s + 4 (alpha < -1 only)."""
-    disc = math.sqrt(alpha * alpha - 8.0 * alpha)
-    lo = (alpha - 4.0 + disc) / (2.0 * alpha)
-    hi = (alpha - 4.0 - disc) / (2.0 * alpha)
-    return lo, hi  # 0 < lo < 1 < hi
-
-
-def _k_integral(alpha: float, interval: str, tol: Tolerance):
+def _k_integral(alpha: float, interval: str):
     """int ds / sqrt(s (1-s) (alpha^2 s^2 + alpha (4-alpha) s + 4)).
 
     interval 'unit' -> [0, 1] (quadratic positive there for 0<alpha<8);
@@ -147,150 +115,89 @@ def _k_integral(alpha: float, interval: str, tol: Tolerance):
     """
     a2 = alpha * alpha
     if interval == "unit":
-        def f(da, db):
-            s = da if da <= db else 1.0 - db
-            quad = (a2 * s + alpha * (4.0 - alpha)) * s + 4.0
-            return 1.0 / math.sqrt(da * db * quad)
-
-        return (0.0, 1.0), _quad(f, 0.0, 1.0, tol)
-    lo, hi = _k_quartic_roots(alpha)
-    if interval == "outer":
-        def f(da, db):
-            s = 1.0 + da if da <= db else hi - db
-            return 1.0 / math.sqrt(s * da * a2 * (s - lo) * db)
-
-        return (1.0, hi), _quad(f, 1.0, hi, tol)
-    if interval == "inner":
-        def f(da, db):
-            s = da if da <= db else lo - db
-            return 1.0 / math.sqrt(da * (1.0 - s) * a2 * db * (hi - s))
-
-        return (0.0, lo), _quad(f, 0.0, lo, tol)
-    raise DegenerateInputError(f"unknown interval {interval!r}")
+        # the quadratic is alpha^2 (s - r)(s - conj r)
+        r = complex(alpha - 4.0, math.sqrt(alpha * (8.0 - alpha))) / (2.0 * alpha)
+        factors = ((0.0, 1.0), (1.0, -1.0), (-a2 * r, a2), (-r.conjugate(), 1.0))
+        return complete_integral(factors, 0.0, 1.0)
+    # 0 < lo < 1 < hi; the quadratic is 4 (alpha + 1) at s = 1
+    hi_m1 = (alpha + 4.0 + math.sqrt(a2 - 8.0 * alpha)) / (-2.0 * alpha)
+    one_m_lo = -4.0 * (alpha + 1.0) / (a2 * hi_m1)
+    lo = 4.0 / (a2 * (1.0 + hi_m1))
+    if interval == "outer":  # w = s - 1
+        factors = ((1.0, 1.0), (0.0, 1.0), (a2 * one_m_lo, a2), (hi_m1, -1.0))
+        return complete_integral(factors, 0.0, hi_m1)
+    factors = ((lo, -1.0), (one_m_lo, 1.0), (0.0, a2), (hi_m1 + one_m_lo, 1.0))  # w = lo - s
+    return complete_integral(factors, 0.0, lo)
 
 
-def _tail_quad(f, rho, tol):
-    """int_rho^oo f(u) du via u = rho / (1 - sigma); f decays like u^{-3/2}."""
-
-    def g(da, db):
-        # da = sigma, db = 1 - sigma
-        u = rho / db
-        return f(u) * rho / (db * db)
-
-    return _quad(g, 0.0, 1.0, tol)
-
-
-def _u_integral(alpha: float, tol: Tolerance):
+def _u_integral(alpha: float):
     """int_0^oo du / sqrt(u (u^2 + 2c u + d)), c = alpha^2/4 - alpha - 2,
     d = alpha^3 (alpha-8)/16; the quadratic has no real roots for alpha < -1."""
-    if not alpha < -1.0:
-        raise UnsupportedRegimeError("reciprocal-shift form needs alpha < -1")
-    c = alpha * alpha / 4.0 - alpha - 2.0
-    d = alpha**3 * (alpha - 8.0) / 16.0
-    rho = 1.0 + max(abs(c), math.sqrt(d))
-
-    def quad(u):
-        return (u + 2.0 * c) * u + d
-
-    def head(da, db):
-        u = da if da <= db else rho - db
-        return 1.0 / math.sqrt(da * quad(u))
-
-    r1 = _quad(head, 0.0, rho, tol)
-    r2 = _tail_quad(lambda u: 1.0 / math.sqrt(u * quad(u)), rho, tol)
-    return QuadratureResult(
-        r1.value + r2.value, r1.error_estimate + r2.error_estimate,
-        r1.evaluations + r2.evaluations,
-    )
+    # roots -c +- i sqrt(d - c^2), and d - c^2 = -4 (alpha + 1)
+    r = complex(-(alpha * alpha / 4.0 - alpha - 2.0), 2.0 * math.sqrt(-1.0 - alpha))
+    return complete_integral(((0.0, 1.0), (-r, 1.0), (-r.conjugate(), 1.0)), 0.0, math.inf)
 
 
-def _v_roots(alpha: float):
-    c = alpha * alpha / 4.0 - alpha - 2.0
-    disc = math.sqrt(c * c - 4.0 * (alpha + 1.0))
-    return (c - disc) / 2.0, (c + disc) / 2.0  # v_minus < 0 < v_0
-
-
-def _v_integral(alpha: float, tol: Tolerance):
+def _v_integral(alpha: float):
     """int_{v0}^oo dv / sqrt(v (v^2 - c v + alpha + 1)) with v0 the larger
     root of the quadratic (alpha < -1)."""
-    if not alpha < -1.0:
-        raise UnsupportedRegimeError("reciprocal-shift form needs alpha < -1")
-    v_m, v0 = _v_roots(alpha)
-    rho = v0 + 1.0
-
-    def head(da, db):
-        v = v0 + da if da <= db else rho - db
-        return 1.0 / math.sqrt(v * da * (v - v_m))
-
-    def tail(v):
-        return 1.0 / math.sqrt(v * (v - v0) * (v - v_m))
-
-    r1 = _quad(head, v0, rho, tol)
-    r2 = _tail_quad(tail, rho, tol)
-    return QuadratureResult(
-        r1.value + r2.value, r1.error_estimate + r2.error_estimate,
-        r1.evaluations + r2.evaluations,
-    )
+    c = alpha * alpha / 4.0 - alpha - 2.0
+    # c^2 - 4 (alpha + 1) = alpha^3 (alpha - 8) / 16; the roots' product is alpha + 1 < 0
+    big = (c + math.copysign(-alpha * math.sqrt(alpha * alpha - 8.0 * alpha) / 4.0, c)) / 2.0
+    v_m, v0 = sorted((big, (alpha + 1.0) / big))
+    return complete_integral(((0.0, 1.0), (-v0, 1.0), (-v_m, 1.0)), v0, math.inf)
 
 
-def _q_integral(alpha: float, tol: Tolerance):
+def _q_integral(alpha: float):
     """int dt / sqrt((1-t) (alpha^2 t - (4t-1)^2)) for alpha >= 4."""
     if not alpha >= 4.0:
         raise UnsupportedRegimeError(f"family Q undefined at alpha={alpha}")
-    disc = alpha * math.sqrt(alpha * alpha + 16.0)
-    t_lo = (8.0 + alpha * alpha - disc) / 32.0
-    t_hi = (8.0 + alpha * alpha + disc) / 32.0
-
-    def f(da, db):
-        t = t_lo + da if da <= db else 1.0 - db
-        return 1.0 / math.sqrt(db * 16.0 * da * (t_hi - t))
-
-    return (t_lo, 1.0), _quad(f, t_lo, 1.0, tol)
+    # alpha^2 t - (4t-1)^2 = 16 (t - t_lo)(t_hi - t), t_lo t_hi = 1/16
+    t_hi = (8.0 + alpha * alpha + alpha * math.sqrt(alpha * alpha + 16.0)) / 32.0
+    t_lo = 1.0 / (16.0 * t_hi)
+    return (t_lo, 1.0), complete_integral(((1.0, -1.0), (-16.0 * t_lo, 16.0), (t_hi, -1.0)),
+                                          t_lo, 1.0)
 
 
-def _r_integral(beta: float, tol: Tolerance):
+def _r_integral(beta: float):
     """int dt / sqrt((1-t) ((beta-4)+2t) (2t^2+(beta+2)t+(beta-2))), beta >= 6."""
     if not beta >= 6.0:
         raise UnsupportedRegimeError(f"family R undefined at beta={beta}")
-    disc = math.sqrt(beta * beta - 4.0 * beta + 20.0)
-    s0 = (-(beta + 2.0) + disc) / 4.0  # larger root of the quadratic
-    s_m = (-(beta + 2.0) - disc) / 4.0
-
-    def f(da, db):
-        t = s0 + da if da <= db else 1.0 - db
-        return 1.0 / math.sqrt(db * (beta - 4.0 + 2.0 * t) * 2.0 * da * (t - s_m))
-
-    return (s0, 1.0), _quad(f, s0, 1.0, tol)
+    # the quadratic is 2 (t - s0)(t - s_m), s0 s_m = (beta - 2)/2
+    s_m = -(beta + 2.0 + math.sqrt(beta * beta - 4.0 * beta + 20.0)) / 4.0
+    s0 = (beta - 2.0) / (2.0 * s_m)
+    factors = ((1.0, -1.0), (beta - 4.0, 2.0), (-2.0 * s0, 2.0), (-s_m, 1.0))
+    return (s0, 1.0), complete_integral(factors, s0, 1.0)
 
 
 # ---------------------------------------------------------------------------
 # public API
 # ---------------------------------------------------------------------------
 
-_DEFAULT_TOL = Tolerance(absolute=1e-12)
+# family -> (integral, integrand, regime for param > 0, regime for param <= 0)
+_CYCLES = {
+    "P": (_p_integral, "1/sqrt(t(1-t)((alpha-4t)^2-16t))", "0<alpha<8", "alpha<-1"),
+    "S": (_s_integral, "1/sqrt((1-t)(2t+alpha-2)(2t^2+alpha*t+alpha))",
+          "0<alpha<8", "alpha<-1"),
+    "Q": (_q_integral, "1/sqrt((1-t)(alpha^2*t-(4t-1)^2))", "alpha>=4", "alpha>=4"),
+    "R": (_r_integral, "1/sqrt((1-t)((beta-4)+2t)(2t^2+(beta+2)t+(beta-2)))",
+          "beta>=6", "beta>=6"),
+}
 
 
-def cycle_integral(family: str, param: float, tol: Tolerance = _DEFAULT_TOL) -> CycleIntegral:
+def cycle_integral(family: str, param: float,
+                   tol: Tolerance = Tolerance(absolute=1e-12)) -> CycleIntegral:
+    """The family's real cycle integral at ``param``, exact to rounding.
+
+    ``tol`` is accepted for existing callers; a closed form has no inner
+    tolerance to set.
+    """
     fam = family.upper()
-    if fam == "P":
-        limits, res = _p_integral(param, tol)
-        regime = "0<alpha<8" if param > 0 else "alpha<=-1"
-        form = "1/sqrt(t(1-t)((alpha-4t)^2-16t))"
-    elif fam == "S":
-        limits, res = _s_integral(param, tol)
-        regime = "0<alpha<8" if param > 0 else "alpha<-1"
-        form = "1/sqrt((1-t)(2t+alpha-2)(2t^2+alpha*t+alpha))"
-    elif fam == "Q":
-        limits, res = _q_integral(param, tol)
-        regime = "alpha>=4"
-        form = "1/sqrt((1-t)(alpha^2*t-(4t-1)^2))"
-    elif fam == "R":
-        limits, res = _r_integral(param, tol)
-        regime = "beta>=6"
-        form = "1/sqrt((1-t)((beta-4)+2t)(2t^2+(beta+2)t+(beta-2)))"
-    else:
+    if fam not in _CYCLES:
         raise UnsupportedRegimeError(f"unknown family {family!r}")
-    return CycleIntegral(fam, regime, form, limits, res)
+    integral, form, positive, negative = _CYCLES[fam]
+    limits, value = integral(param)
+    return CycleIntegral(fam, positive if param > 0 else negative, form, limits, value)
 
 
 IDENTITY_IDS = ("p-doubled-vs-s", "p-vs-s", "q-vs-r")
@@ -304,22 +211,19 @@ def verify_period_identity(which: str, param: float,
     'p-vs-s': P-cycle = S-cycle for alpha < -1;
     'q-vs-r': Q-cycle at alpha = R-cycle at beta = alpha + 2 for alpha >= 4.
     """
-    inner = Tolerance(absolute=tol.absolute * 1e-3)
     if which == "p-doubled-vs-s":
         if not 0.0 < param < 8.0:
             raise UnsupportedRegimeError("needs 0 < alpha < 8")
-        lhs = 2.0 * _p_integral(param, inner)[1].value
-        rhs = _s_integral(param, inner)[1].value
+        lhs = 2.0 * _p_integral(param)[1]
+        rhs = _s_integral(param)[1]
     elif which == "p-vs-s":
         if not param < -1.0:
             raise UnsupportedRegimeError("needs alpha < -1")
-        lhs = _p_integral(param, inner)[1].value
-        rhs = _s_integral(param, inner)[1].value
+        lhs = _p_integral(param)[1]
+        rhs = _s_integral(param)[1]
     elif which == "q-vs-r":
-        if not param >= 4.0:
-            raise UnsupportedRegimeError("needs alpha >= 4")
-        lhs = _q_integral(param, inner)[1].value
-        rhs = _r_integral(param + 2.0, inner)[1].value
+        lhs = _q_integral(param)[1]
+        rhs = _r_integral(param + 2.0)[1]
     else:
         raise DegenerateInputError(f"unknown identity {which!r}")
     return ResidualReport(which, param, lhs, rhs, tol.absolute)
@@ -339,36 +243,30 @@ def change_of_variable_check(map_id: str, param: float,
                              tol: Tolerance = Tolerance(absolute=1e-8)) -> ResidualReport:
     """Recompute both sides of one substitution identity independently."""
     a = param
-    inner = Tolerance(absolute=tol.absolute * 1e-3)
     if map_id not in MAP_IDS:
         raise DegenerateInputError(f"unknown map {map_id!r}")
     if map_id != "shift-scale" and not a < -1.0:
         raise MapDomainError(f"{map_id} needs alpha < -1")
     if map_id == "shift-scale":
         # maps the S-cycle to the symmetric quartic in s
-        lhs = _s_integral(a, inner)[1].value
-        if 0.0 < a < 8.0:
-            rhs = _k_integral(a, "unit", inner)[1].value
-        elif a < -1.0:
-            rhs = _k_integral(a, "outer", inner)[1].value
-        else:
-            raise MapDomainError("shift-scale needs 0<alpha<8 or alpha<-1")
+        lhs = _s_integral(a)[1]  # raises outside 0 < alpha < 8 and alpha < -1
+        rhs = _k_integral(a, "unit" if a > 0.0 else "outer")
     elif map_id == "mobius-involution":
-        lhs = _k_integral(a, "outer", inner)[1].value
-        rhs = _k_integral(a, "inner", inner)[1].value
+        lhs = _k_integral(a, "outer")
+        rhs = _k_integral(a, "inner")
     elif map_id == "reciprocal-t":
-        lhs = _p_integral(a, inner)[1].value
-        rhs = 0.5 * _u_integral(a, inner).value
+        lhs = _p_integral(a)[1]
+        rhs = 0.5 * _u_integral(a)
     elif map_id == "reciprocal-w":
-        lhs = _k_integral(a, "inner", inner)[1].value
-        rhs = 0.5 * _v_integral(a, inner).value
+        lhs = _k_integral(a, "inner")
+        rhs = 0.5 * _v_integral(a)
     elif map_id == "degree2-isogeny":
-        lhs = _u_integral(a, inner).value
-        rhs = _v_integral(a, inner).value
+        lhs = _u_integral(a)
+        rhs = _v_integral(a)
     else:  # parameter-rescale
         beta = -8.0 / a
-        lhs = _p_integral(a, inner)[1].value
-        rhs = abs(beta) / 4.0 * _k_integral(beta, "unit", inner)[1].value
+        lhs = _p_integral(a)[1]
+        rhs = abs(beta) / 4.0 * _k_integral(beta, "unit")
     return ResidualReport(map_id, param, lhs, rhs, tol.absolute)
 
 
@@ -385,7 +283,7 @@ def cycle_vs_lattice(family: str, param: float) -> RationalityReport:
         imag_period = abs(lat.omega2.imag)
     else:
         imag_period = abs((2.0 * lat.omega2 - lat.omega1).imag)
-    ratio = ci.value.value / imag_period
+    ratio = ci.value / imag_period
     nearest = Fraction(ratio).limit_denominator(4)
     return RationalityReport(family.upper(), param, ratio, nearest,
                              abs(ratio - float(nearest)))

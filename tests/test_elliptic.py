@@ -14,6 +14,7 @@ from regulab.elliptic import (
     O,
     SingularModelError,
     WeierstrassCurve,
+    complete_integral,
     deuring_curve,
     elliptic_log,
     family_models,
@@ -25,7 +26,7 @@ from regulab.elliptic import (
     quartic_twist_curve,
     reduce_mod_lattice,
 )
-from regulab.numerics import Tolerance, integrate_endpoint_singular
+from regulab.numerics import DegenerateInputError, Tolerance, integrate_endpoint_singular
 
 
 def _j_from_q(q: complex, terms: int = 40) -> complex:
@@ -112,6 +113,29 @@ class TestPeriodLattice:
             lat = period_lattice(c)
             assert lat.tau.imag > 0
             assert abs(lat.q) < 1
+
+
+class TestCompleteIntegral:
+    def test_elementary_cases(self):
+        # int_0^1 dt / sqrt(t (1-t)) and int_0^oo dt / (sqrt(t) (1+t)) are both pi
+        assert abs(complete_integral(((0.0, 1.0), (1.0, -1.0), (1.0, 0.0)), 0.0, 1.0)
+                   - math.pi) < 1e-15
+        assert abs(complete_integral(((0.0, 1.0), (1.0, 1.0), (1.0, 1.0)), 0.0, math.inf)
+                   - math.pi) < 1e-15
+
+    @pytest.mark.parametrize("factors,y,x", [
+        # P's cycle at alpha = -1: a double root at t = 1/4 inside (0, 1) diverges
+        (((0.0, 1.0), (1.0, -1.0), (-4.0, 16.0), (-0.25, 1.0)), 0.0, 1.0),
+        # t - 1 is negative on (0, 1)
+        (((0.0, 1.0), (-1.0, 1.0), (1.0, 1.0)), 0.0, 1.0),
+        # a double root at the lower limit
+        (((0.0, 1.0), (0.0, 1.0), (1.0, 1.0)), 0.0, math.inf),
+        # a quartic to infinity
+        (((0.0, 1.0), (1.0, 1.0), (2.0, 1.0), (3.0, 1.0)), 0.0, math.inf),
+    ])
+    def test_divergent_or_complex_raises(self, factors, y, x):
+        with pytest.raises(DegenerateInputError):
+            complete_integral(factors, y, x)
 
 
 class TestEllipticLog:

@@ -20,11 +20,11 @@ from .elliptic import (
     WeierstrassCurve,
     deuring_curve,
     elliptic_log,
-    family_models,
     period_lattice,
     q_point,
     quartic_twist_curve,
 )
+from .families import FAMILIES, Family, family
 from .divisors import (
     FormalDivisor,
     MinusDivisor,

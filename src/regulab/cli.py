@@ -35,6 +35,7 @@ from .divisors import (
     family_embedding,
     strip_self_inverse,
 )
+from .families import FAMILIES
 from .lfunctions import (
     TABLE_ONE,
     MissingPrimeError,
@@ -282,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--csv", action="store_true")
 
     m = sub.add_parser("mahler", help="Mahler measure of one family member")
-    m.add_argument("--family", required=True, choices=list("PSQRpsqr"))
+    m.add_argument("--family", required=True, choices=[*FAMILIES, *map(str.lower, FAMILIES)])
     m.add_argument("--alpha", type=float, required=True)
     m.add_argument("--method", choices=["jensen", "torus2"], default="jensen")
     common(m)

@@ -21,9 +21,10 @@ from typing import Callable
 
 import numpy as np
 
-from . import elliptic
+from . import elliptic, families
+from .dilogarithm import elliptic_dilog_divisor
 from .elliptic import CurvePoint, O, WeierstrassCurve
-from .numerics import DegenerateInputError, solve_quadratic_stable
+from .numerics import DegenerateInputError, Tolerance, solve_quadratic_stable
 
 
 class MixedGroupError(ValueError):
@@ -224,10 +225,7 @@ def diamond(f_div: FormalDivisor, g_div: FormalDivisor) -> MinusDivisor:
 # family catalogs
 # ---------------------------------------------------------------------------
 
-GROUP_P = PointGroup(("P",), (("P", 6),))
-GROUP_S = PointGroup(("P", "U", "V"), (("P", 6),))
-GROUP_Q = PointGroup(("P", "S", "T"), (("P", 2),))
-GROUP_R = PointGroup(("P", "A", "S", "T"), (("P", 2), ("A", 2)))
+GROUPS = {name: PointGroup(f.generators, f.orders) for name, f in families.FAMILIES.items()}
 
 
 def _div(group, *terms):
@@ -239,15 +237,15 @@ def _div(group, *terms):
 
 def family_divisor_catalog(family: str) -> dict:
     """Named divisors of the rational functions used by each family's chain."""
-    family = family.upper()
+    family = families.family(family).name
     if family == "P":
-        g = GROUP_P
+        g = GROUPS["P"]
         return {
             "x": _div(g, (1, dict(P=2)), (1, dict(P=3)), (-1, dict(P=5)), (-1, {})),
             "y": _div(g, (-1, dict(P=1)), (1, dict(P=3)), (1, dict(P=4)), (-1, {})),
         }
     if family == "S":
-        g = GROUP_S
+        g = GROUPS["S"]
         P, U, V = dict(P=1), dict(U=1), dict(V=1)
         cat = {
             "X-alpha": _div(g, (1, P), (1, dict(P=5)), (-2, {})),
@@ -319,7 +317,7 @@ def family_divisor_catalog(family: str) -> dict:
         )
         return cat
     if family == "Q":
-        g = GROUP_Q
+        g = GROUPS["Q"]
         P, S, T = dict(P=1), dict(S=1), dict(T=1)
         return {
             "W-alphaZ": _div(g, (1, S), (1, dict(P=1, S=-1)), (1, P), (-3, {})),
@@ -352,7 +350,7 @@ def family_divisor_catalog(family: str) -> dict:
             ),
         }
     if family == "R":
-        g = GROUP_R
+        g = GROUPS["R"]
         P, A, S, T = dict(P=1), dict(A=1), dict(S=1), dict(T=1)
         cat = {
             "W": _div(g, (1, P), (1, A), (1, dict(A=1, P=1)), (-3, {})),
@@ -420,7 +418,6 @@ def family_divisor_catalog(family: str) -> dict:
         cat["steinberg_f"] = cat["W-3Z-4(beta-5)(beta+1)"] - cat["W"]
         cat["steinberg_1mf"] = cat["3Z+4(beta-5)(beta+1)"] - cat["W"]
         return cat
-    raise DegenerateInputError(f"unknown family {family!r}")
 
 
 def map_r_to_q(d: FormalDivisor) -> FormalDivisor:
@@ -431,7 +428,7 @@ def map_r_to_q(d: FormalDivisor) -> FormalDivisor:
         if coeffs.get("A", 0) % 2 != 0:
             raise MixedGroupError(f"term {p.label} involves the extra 2-torsion point")
         out._add(
-            GROUP_Q.point(P=coeffs.get("P", 0), S=coeffs.get("S", 0), T=coeffs.get("T", 0)),
+            GROUPS["Q"].point(P=coeffs.get("P", 0), S=coeffs.get("S", 0), T=coeffs.get("T", 0)),
             m,
         )
     return out
@@ -504,7 +501,7 @@ def derive_equivalence(chain: str) -> DerivationReport:
         steps = []
         # base family diamond
         target_p = canonicalize_minus(
-            _div(GROUP_P, (-6, dict(P=1)), (-6, dict(P=2)))
+            _div(GROUPS["P"], (-6, dict(P=1)), (-6, dict(P=2)))
         )
         steps.append(
             DerivationStep("x_diamond_y", diamond(catp["x"], catp["y"]), target_p)
@@ -521,7 +518,7 @@ def derive_equivalence(chain: str) -> DerivationReport:
         collapsed = canonicalize_minus(
             cat["minus_x1_diamond_y1"] + cat["steinberg_diamond_claimed"]
         )
-        target_s = canonicalize_minus(_div(GROUP_S, (6, dict(P=1)), (6, dict(P=2))))
+        target_s = canonicalize_minus(_div(GROUPS["S"], (6, dict(P=1)), (6, dict(P=2))))
         steps.append(DerivationStep("collapse_to_torsion_class", collapsed, target_s))
         return DerivationReport("S", steps)
     if chain in ("QR", "Q/R", "Q"):
@@ -597,12 +594,7 @@ class FamilyEmbedding:
 
     @property
     def group(self) -> PointGroup:
-        return {
-            "P": GROUP_P,
-            "S": GROUP_S,
-            "Q": GROUP_Q,
-            "R": GROUP_R,
-        }[self.family]
+        return GROUPS[self.family]
 
     def coordinates(self, p: SymbolicPoint) -> CurvePoint:
         acc = O
@@ -622,58 +614,19 @@ class FamilyEmbedding:
         return elliptic.u_to_qz(self.log(p), self.lattice)
 
     def elliptic_dilog_of(self, d: FormalDivisor, tol_abs: float = 1e-12) -> float:
-        from .dilogarithm import elliptic_dilog_divisor
-        from .numerics import Tolerance
-
         return elliptic_dilog_divisor(self.qpoint, d, Tolerance(absolute=tol_abs))
 
 
 def family_embedding(family: str, param: float) -> FamilyEmbedding:
-    family = family.upper()
+    fam = families.family(family)
     a = float(param)
-    if family in ("P", "S"):
-        curve = elliptic.deuring_curve(a)
-        gens = {"P": CurvePoint(a, a)}
-        if family == "S":
-            du = cmath.sqrt(complex(a * a - 16 * a + 32))
-            gens["U"] = CurvePoint(
-                a * (-a + du) / 8, a * a * (a - 8 - du) / 16
-            )
-            dv = cmath.sqrt(complex(a * a - 10 * a + 9))
-            gens["V"] = CurvePoint(
-                (-a * a + 4 * a - 3 + (a + 1) * dv) / 8,
-                (a**3 - 7 * a * a - a - 9 - (a * a - 2 * a - 3) * dv) / 16,
-            )
-    elif family == "Q":
-        curve = elliptic.quartic_twist_curve(a)
-        gens = {
-            "P": CurvePoint(0.0, 0.0),
-            "S": CurvePoint(4 * a + 12, a * (4 * a + 12)),
-            "T": CurvePoint(
-                -4 * (a * a - 9) / 3, 4j * (a - 3) * a * (a + 3) / (3 * math.sqrt(3))
-            ),
-        }
-    elif family == "R":
-        b = a
-        al = b - 2
-        curve = elliptic.quartic_twist_curve(al)
-        disc = b**4 - 8 * b**3 + 40 * b * b - 96 * b + 80
-        gens = {
-            "P": CurvePoint(0.0, 0.0),
-            "A": CurvePoint((-(b * b - 4 * b - 20) + cmath.sqrt(complex(disc))) / 2, 0.0),
-            "S": CurvePoint(4 * (b + 1), 4 * (b - 2) * (b + 1)),
-            "T": CurvePoint(
-                -4 * (b - 5) * (b + 1) / 3,
-                4j * (b - 5) * (b - 2) * (b + 1) / (3 * math.sqrt(3)),
-            ),
-        }
-    else:
-        raise DegenerateInputError(f"unknown family {family!r}")
+    curve = fam.curve(a)
+    gens = dict(zip(fam.generators, fam.points(a)))
     for name, pt in gens.items():
         if not curve.contains(pt, tol=1e-8):
             raise UnembeddablePointError(f"generator {name} off curve at param {param}")
     lat = elliptic.period_lattice(curve)
-    return FamilyEmbedding(family, a, curve, lat, gens)
+    return FamilyEmbedding(fam.name, a, curve, lat, gens)
 
 
 # ---------------------------------------------------------------------------

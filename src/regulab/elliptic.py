@@ -8,23 +8,19 @@ logarithm: the Abel map u = int dx/(2y+a1*x+a3) from infinity to any
 finite point, real or complex, is one R_F along a ray to infinity.  So is
 a complete integral of 1/sqrt(cubic or quartic) between adjacent real
 roots (``complete_integral``), which gives the families' cycle integrals.
-
-Model bundles for the four polynomial families record the Weierstrass
-target, the intermediate genus-2 quotient cubic, and the coordinate
-changes in both directions.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 import scipy.special
 
+from .dilogarithm import QPoint
 from .numerics import DegenerateInputError
 
 
@@ -317,42 +313,17 @@ def elliptic_log(c: WeierstrassCurve, lat: PeriodLattice, p: CurvePoint) -> comp
 
 def q_point(c: WeierstrassCurve, lat: PeriodLattice, p: CurvePoint):
     """Image of P on the Tate curve C^x/q^Z: z = e^{2 pi i u/omega1}."""
-    from .dilogarithm import QPoint
-
-    u = elliptic_log(c, lat, p)
-    z = cmath.exp(2j * math.pi * u / lat.omega1)
-    return QPoint(lat.q, z)
+    return u_to_qz(elliptic_log(c, lat, p), lat)
 
 
 def u_to_qz(u: complex, lat: PeriodLattice):
     """z = e^{2 pi i u / omega1} as a QPoint, for externally assembled u."""
-    from .dilogarithm import QPoint
-
     return QPoint(lat.q, cmath.exp(2j * math.pi * complex(u) / lat.omega1))
 
 
 # ---------------------------------------------------------------------------
-# family model bundles
+# the families' curves (see ``families``)
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FamilyModel:
-    """Weierstrass target of a family member plus coordinate transport.
-
-    ``to_curve`` maps an affine zero (x, y) of the family polynomial to a
-    point of ``curve``; ``from_curve`` inverts it (fixing one square-root
-    branch where the quotient map is 2:1).  ``cubic`` holds the
-    intermediate hyperelliptic cubic h as coefficients [c3, c2, c1, c0]
-    for h(Z) = c3 Z^3 + c2 Z^2 + c1 Z + c0.
-    """
-
-    family: str
-    param: float
-    curve: WeierstrassCurve
-    cubic: tuple
-    to_curve: Callable = field(repr=False)
-    from_curve: Callable = field(repr=False)
 
 
 def deuring_curve(alpha) -> WeierstrassCurve:
@@ -364,135 +335,3 @@ def quartic_twist_curve(alpha) -> WeierstrassCurve:
     """W^2 = Z^3 + (alpha^2-24) Z^2 - 16 (alpha^2-9) Z."""
     a = alpha
     return WeierstrassCurve(a2=a * a - 24, a4=-16 * (a * a - 9))
-
-
-def family_models(family: str, param) -> FamilyModel:
-    family = family.upper()
-    if family == "P":
-        return _model_p(param)
-    if family == "S":
-        return _model_s(param)
-    if family == "Q":
-        return _model_q(param)
-    if family == "R":
-        return _model_r(param)
-    raise DegenerateInputError(f"unknown family {family!r}")
-
-
-def _model_p(alpha):
-    if alpha * (alpha + 1) * (alpha - 8) == 0:
-        raise DegenerateFamilyError(f"singular member at alpha={alpha}")
-    curve = deuring_curve(alpha)
-
-    def to_curve(x, y):
-        den = x + y - alpha
-        return CurvePoint(alpha * (x + y + 1) / den, alpha * (-alpha * x + y + 1) / den)
-
-    def from_curve(pt: CurvePoint):
-        X, Y = pt.x, pt.y
-        return ((X - Y) / (X - alpha), (Y + (alpha - 1) * X + alpha) / (X - alpha))
-
-    return FamilyModel("P", alpha, curve, (0, 0, 0, 0), to_curve, from_curve)
-
-
-def _model_s(alpha):
-    if alpha * (alpha + 1) * (alpha - 8) == 0:
-        raise DegenerateFamilyError(f"singular member at alpha={alpha}")
-    curve = deuring_curve(alpha)
-    a = alpha
-    cubic = (a * a + a, -2 * a * a + 5 * a + 4, a * a - 5 * a + 8, -a + 4)
-
-    def to_curve(x1, y1):
-        X1 = (x1 + 1) / (x1 - 1)
-        Y1 = 4 * (y1 * y1 - x1**4) / (y1 * (x1 - 1) ** 3 * (x1 + 1))
-        Z1 = X1 * X1
-        X = ((a * a + a) * Z1 - (a * a - 3 * a)) / 4
-        Y = a * ((a + 1) * Y1 + (-a * a + a + 2) * Z1 + (a * a - 5 * a + 2)) / 8
-        return CurvePoint(X, Y)
-
-    def from_curve(pt: CurvePoint):
-        X, Y = pt.x, pt.y
-        Z1 = (4 * X + a * a - 3 * a) / (a * a + a)
-        Y1 = 4 * (2 * Y + (a - 2) * X + a) / (a * a + a)
-        X1 = _sqrt_generic(Z1)
-        x1 = (X1 + 1) / (X1 - 1)
-        y1 = (2 * X1 * Y1 - (2 * a + 1) * X1**4 + (2 * a - 6) * X1 * X1 - 1) / (X1 - 1) ** 4
-        return (x1, y1)
-
-    return FamilyModel("S", alpha, curve, cubic, to_curve, from_curve)
-
-
-def _model_q(alpha):
-    a = alpha
-    if a * a == 9:
-        raise DegenerateFamilyError(f"degenerate member at alpha={alpha} (alpha^2=9)")
-    curve = quartic_twist_curve(a)
-    cubic = (a * a - 9, -(2 * a * a - 3), a * a + 5, 1)
-
-    def to_curve(x2, y2):
-        X2 = (x2 + 1) / (x2 - 1)
-        Y2 = 4 * (2 * (x2 * x2 + x2 + 1) * y2 + a * x2 * (x2 + 1)) / (x2 - 1) ** 3
-        Z2 = X2 * X2
-        return CurvePoint((a * a - 9) * (Z2 - 1), (a * a - 9) * Y2)
-
-    def from_curve(pt: CurvePoint):
-        Z, W = pt.x, pt.y
-        Z2 = Z / (a * a - 9) + 1
-        Y2 = W / (a * a - 9)
-        X2 = _sqrt_generic(Z2)
-        x2 = (X2 + 1) / (X2 - 1)
-        y2 = (Y2 - a * X2 * (X2 * X2 - 1)) / ((X2 - 1) * (3 * X2 * X2 + 1))
-        return (x2, y2)
-
-    return FamilyModel("Q", a, curve, cubic, to_curve, from_curve)
-
-
-def _model_r(beta):
-    b = beta
-    alpha = b - 2
-    if alpha * alpha == 9:
-        raise DegenerateFamilyError(f"degenerate member at beta={beta}")
-    if (b * b - b - 2) == 0:
-        raise DegenerateFamilyError(f"degenerate member at beta={beta}")
-    curve = quartic_twist_curve(alpha)
-    cubic = (b * b - b - 2, -2 * b * b + 11 * b - 2, b * b - 11 * b + 26, b - 6)
-
-    def to_curve(x3, y3):
-        X3 = (x3 + 1) / (x3 - 1)
-        Y3 = (
-            4
-            * (2 * (x3 * x3 + x3 + 1) * y3 + x3**4 + b * x3**3 + (2 * b - 4) * x3 * x3 + b * x3 + 1)
-            / ((x3 - 1) ** 3 * (x3 + 1))
-        )
-        Z3 = X3 * X3
-        Z = (b * b - b - 2) * Z3 - (b * b - 5 * b - 6)
-        W = (b * b - b - 2) * Y3
-        return CurvePoint(Z, W)
-
-    def from_curve(pt: CurvePoint):
-        Z, W = pt.x, pt.y
-        Z3 = (Z + (b * b - 5 * b - 6)) / (b * b - b - 2)
-        Y3 = W / (b * b - b - 2)
-        X3 = _sqrt_generic(Z3)
-        x3 = (X3 + 1) / (X3 - 1)
-        y3 = (2 * X3 * Y3 - (2 * b - 1) * X3**4 + (2 * b - 10) * X3 * X3 + 1) / (
-            (X3 - 1) ** 2 * (3 * X3 * X3 + 1)
-        )
-        return (x3, y3)
-
-    return FamilyModel("R", b, curve, cubic, to_curve, from_curve)
-
-
-def _sqrt_generic(z):
-    if isinstance(z, complex):
-        return cmath.sqrt(z)
-    if isinstance(z, Fraction):
-        num, den = z.numerator, z.denominator
-        if num >= 0:
-            rn, rd = math.isqrt(num), math.isqrt(den)
-            if rn * rn == num and rd * rd == den:
-                return Fraction(rn, rd)
-        return cmath.sqrt(float(z))
-    if z >= 0:
-        return math.sqrt(z)
-    return cmath.sqrt(complex(z))

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .families import FAMILIES, family
 from .numerics import (
     DegenerateInputError,
     Tolerance,
@@ -59,11 +60,9 @@ class FamilySpec:
     alpha: float
 
     def __post_init__(self):
-        if self.family.upper() not in ("P", "S", "Q", "R"):
-            raise DegenerateInputError(f"unknown family {self.family!r}")
+        object.__setattr__(self, "family", family(self.family).name)
         if not math.isfinite(self.alpha):
             raise DegenerateInputError(f"alpha must be finite, got {self.alpha!r}")
-        object.__setattr__(self, "family", self.family.upper())
 
 
 class BivariatePoly:
@@ -117,14 +116,7 @@ class BivariatePoly:
 
 
 def family_poly(spec: FamilySpec) -> BivariatePoly:
-    a = spec.alpha
-    if spec.family == "P":
-        return BivariatePoly([[0, 1, 1], [1, 2 - a, 1], [1, 1]])
-    if spec.family == "S":
-        return BivariatePoly([[0, 0, 0, 0, 1], [1, a, 2 * a, a, 1], [1]])
-    if spec.family == "Q":
-        return BivariatePoly([[0, 1, 1, 1], [0, a, a], [1, 1, 1]])
-    return BivariatePoly([[0, 0, 1, 1, 1], [1, a, 2 * a - 4, a, 1], [1, 1, 1]])
+    return BivariatePoly(FAMILIES[spec.family].rows(spec.alpha))
 
 
 def jensen_univariate(coeffs) -> float:

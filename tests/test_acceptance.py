@@ -13,7 +13,7 @@ import numpy as np
 from regulab.cli import CAMPAIGNS
 from regulab.dilogarithm import bloch_wigner
 from regulab.divisors import (
-    GROUP_P,
+    GROUPS,
     _div,
     canonicalize_minus,
     derive_equivalence,
@@ -75,7 +75,7 @@ def test_ac4_measure_to_lvalue_ratios():
 
 
 def test_ac5_regulator_ratio_constant():
-    div = canonicalize_minus(_div(GROUP_P, (-6, dict(P=1)), (-6, dict(P=2))))
+    div = canonicalize_minus(_div(GROUPS["P"], (-6, dict(P=1)), (-6, dict(P=2))))
     ratios = []
     for a in (1.0, 3.0, 7.0):
         emb = family_embedding("P", a)

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from regulab.divisors import (
-    GROUP_P,
-    GROUP_R,
+    GROUPS,
     FormalDivisor,
     MixedGroupError,
     PointGroup,
@@ -18,19 +17,20 @@ from regulab.divisors import (
     strip_self_inverse,
     verify_claimed_divisor,
 )
-from regulab.elliptic import CurvePoint, family_models
+from regulab.elliptic import CurvePoint
+from regulab.families import FAMILIES
 
 
 class TestPointGroup:
     def test_torsion_reduction(self):
         # with P of order 6, -P is stored as 5P
-        p = GROUP_P.point(P=-1)
+        p = GROUPS["P"].point(P=-1)
         assert p.coeffs == (5,)
         assert p.label == "5P"
 
     def test_six_torsion_wraps(self):
-        assert GROUP_P.point(P=7) == GROUP_P.point(P=1)
-        assert GROUP_P.point(P=6).is_zero()
+        assert GROUPS["P"].point(P=7) == GROUPS["P"].point(P=1)
+        assert GROUPS["P"].point(P=6).is_zero()
 
     def test_free_generator_is_not_reduced(self):
         g = PointGroup(("P", "U"), (("P", 6),))
@@ -43,39 +43,39 @@ class TestPointGroup:
     def test_mixed_group_addition_rejected(self):
         g = PointGroup(("Q",), (("Q", 6),))
         with pytest.raises(MixedGroupError):
-            GROUP_P.point(P=1) + g.point(Q=1)
+            GROUPS["P"].point(P=1) + g.point(Q=1)
 
 
 class TestFormalDivisor:
     def test_zero_multiplicities_dropped(self):
-        d = FormalDivisor([(GROUP_P.point(P=1), 2), (GROUP_P.point(P=1), -2)])
+        d = FormalDivisor([(GROUPS["P"].point(P=1), 2), (GROUPS["P"].point(P=1), -2)])
         assert not d
         assert d.degree == 0
 
     def test_degree_and_arithmetic(self):
-        a = FormalDivisor({GROUP_P.point(P=1): 3})
-        b = FormalDivisor({GROUP_P.point(P=2): -1})
+        a = FormalDivisor({GROUPS["P"].point(P=1): 3})
+        b = FormalDivisor({GROUPS["P"].point(P=2): -1})
         assert (a + b).degree == 2
-        assert (2 * a - b).multiplicity(GROUP_P.point(P=2)) == 1
+        assert (2 * a - b).multiplicity(GROUPS["P"].point(P=2)) == 1
 
     def test_canonicalize_minus_inversion(self):
         # (P) + (-P) dies; (2P) - (-2P) becomes 2(2P)
         d = FormalDivisor(
-            {GROUP_P.point(P=1): 1, GROUP_P.point(P=5): 1,
-             GROUP_P.point(P=2): 1, GROUP_P.point(P=4): -1}
+            {GROUPS["P"].point(P=1): 1, GROUPS["P"].point(P=5): 1,
+             GROUPS["P"].point(P=2): 1, GROUPS["P"].point(P=4): -1}
         )
         m = canonicalize_minus(d)
-        assert m.multiplicity(GROUP_P.point(P=1)) == 0
+        assert m.multiplicity(GROUPS["P"].point(P=1)) == 0
         # the orbit {2P, 4P} keeps one representative with total weight 2
-        total = abs(m.multiplicity(GROUP_P.point(P=2))) + abs(
-            m.multiplicity(GROUP_P.point(P=4))
+        total = abs(m.multiplicity(GROUPS["P"].point(P=2))) + abs(
+            m.multiplicity(GROUPS["P"].point(P=4))
         )
         assert total == 2
 
     def test_self_inverse_mod_two(self):
         # 3P is 2-torsion under P of order 6: multiplicity is kept mod 2
-        d = FormalDivisor({GROUP_P.point(P=3): 5})
-        assert canonicalize_minus(d).multiplicity(GROUP_P.point(P=3)) == 1
+        d = FormalDivisor({GROUPS["P"].point(P=3): 5})
+        assert canonicalize_minus(d).multiplicity(GROUPS["P"].point(P=3)) == 1
         assert not strip_self_inverse(d)
 
 
@@ -123,7 +123,7 @@ class TestDerivationChains:
         step = report.steps[0]
         # the base-family diamond is exactly -6(P) - 6(2P) in the quotient
         target = canonicalize_minus(
-            FormalDivisor({GROUP_P.point(P=1): -6, GROUP_P.point(P=2): -6})
+            FormalDivisor({GROUPS["P"].point(P=1): -6, GROUPS["P"].point(P=2): -6})
         )
         assert step.lhs == target
 
@@ -136,12 +136,12 @@ class TestDerivationChains:
 
 class TestRtoQTransport:
     def test_even_a_coefficients_transport(self):
-        d = FormalDivisor({GROUP_R.point(A=2, S=1): 1, GROUP_R.point(P=1): -1})
+        d = FormalDivisor({GROUPS["R"].point(A=2, S=1): 1, GROUPS["R"].point(P=1): -1})
         out = map_r_to_q(d)
         assert out.degree == 0
 
     def test_odd_a_coefficient_rejected(self):
-        d = FormalDivisor({GROUP_R.point(A=1, S=1): 1})
+        d = FormalDivisor({GROUPS["R"].point(A=1, S=1): 1})
         with pytest.raises(MixedGroupError):
             map_r_to_q(d)
 
@@ -150,10 +150,9 @@ class TestClaimedDivisors:
     @pytest.mark.parametrize("alpha", [3.0, 7.0])
     def test_base_family_coordinate_functions(self, alpha):
         emb = family_embedding("P", alpha)
-        model = family_models("P", alpha)
         cat = family_divisor_catalog("P")
         for name, idx in (("x", 0), ("y", 1)):
-            f = lambda X, Y: model.from_curve(CurvePoint(X, Y))[idx]
+            f = lambda X, Y: FAMILIES["P"].from_curve(alpha, CurvePoint(X, Y))[idx]
             rep = verify_claimed_divisor(emb.curve, f, cat[name], emb)
             assert rep.degree_zero
             assert rep.abel_jacobi_residual < 1e-6
@@ -166,12 +165,11 @@ class TestClaimedDivisors:
 
     def test_wrong_multiplicity_detected(self):
         emb = family_embedding("P", 3.0)
-        model = family_models("P", 3.0)
         cat = family_divisor_catalog("P")
         wrong = FormalDivisor(dict(cat["x"].items())) + FormalDivisor(
-            {GROUP_P.point(P=2): 1, GROUP_P.point(P=5): -1}
+            {GROUPS["P"].point(P=2): 1, GROUPS["P"].point(P=5): -1}
         )
-        f = lambda X, Y: model.from_curve(CurvePoint(X, Y))[0]
+        f = lambda X, Y: FAMILIES["P"].from_curve(3.0, CurvePoint(X, Y))[0]
         rep = verify_claimed_divisor(emb.curve, f, wrong, emb)
         assert not rep.passed
 

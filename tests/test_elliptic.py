@@ -17,7 +17,6 @@ from regulab.elliptic import (
     complete_integral,
     deuring_curve,
     elliptic_log,
-    family_models,
     group_op,
     multiply,
     negate,
@@ -26,6 +25,7 @@ from regulab.elliptic import (
     quartic_twist_curve,
     reduce_mod_lattice,
 )
+from regulab.families import FAMILIES
 from regulab.numerics import DegenerateInputError, Tolerance, integrate_endpoint_singular
 
 
@@ -296,7 +296,7 @@ class TestFamilyModels:
     def test_round_trip(self, family, param):
         from regulab.mahler import FamilySpec, family_poly
 
-        model = family_models(family, param)
+        fam = FAMILIES[family]
         poly = family_poly(FamilySpec(family, param))
         # take an actual zero of the family polynomial (the maps are only
         # defined on the curve)
@@ -304,15 +304,15 @@ class TestFamilyModels:
         a, b, c = poly.coeffs_at(x)
         y = (-b + (b * b - 4 * a * c) ** 0.5) / (2 * a)
         try:
-            pt = model.to_curve(x, y)
+            pt = fam.to_curve(param, x, y)
         except (ZeroDivisionError, ValueError):
             pytest.skip("chosen point hits a coordinate pole")
-        assert model.curve.contains(pt, tol=1e-7)
-        xb, yb = model.from_curve(pt)
+        assert fam.curve(param).contains(pt, tol=1e-7)
+        xb, yb = fam.from_curve(param, pt)
         # the quotient maps can be 2:1 (x and 1/x share an image)
         assert abs(xb - x) < 1e-7 or abs(xb - 1.0 / x) < 1e-7
         assert abs(poly(xb, yb)) < 1e-6
-        back = model.to_curve(xb, yb)
+        back = fam.to_curve(param, xb, yb)
         assert abs(back.x - pt.x) < 1e-6 and abs(back.y - pt.y) < 1e-6
 
     @pytest.mark.parametrize(
@@ -320,4 +320,4 @@ class TestFamilyModels:
     )
     def test_degenerate_parameters_raise(self, family, param):
         with pytest.raises(DegenerateFamilyError):
-            family_models(family, param)
+            FAMILIES[family].curve(param)

@@ -148,7 +148,7 @@ def cmd_mahler(args) -> Report:
     if args.method == "jensen":
         value = mahler_quadratic_y(poly, Tolerance(absolute=min(args.tol, 1e-10)))
     else:
-        value = mahler_torus2(poly, Tolerance(absolute=max(args.tol, 1e-6)))
+        value = mahler_torus2(poly, Tolerance(absolute=args.tol))
     rep.records.append(Record(f"m({args.family}_{args.alpha:g})", value, value, 0.0, args.tol))
     if spec.family == "Q" and args.alpha < 4:
         print("warning: alpha below the regime of the Q/R equivalence; "

@@ -317,7 +317,11 @@ def epsilon_detect(conductor: int, coefficients: list, m: int | None = None) -> 
     For the true sign the approximate functional equation is independent
     of the splitting parameter; the wrong sign leaves an O(1) mismatch.
     """
-    series = LSeries(conductor, 1, coefficients)
+    return _sign(LSeries(conductor, 1, coefficients), m)
+
+
+def _sign(series: LSeries, m: int | None) -> int:
+    """``epsilon_detect`` on a series whatever its own sign."""
     f1, g1 = _half_sums(series, 0.7, m, 1.0)
     f2, g2 = _half_sums(series, 0.7, m, 1.35)
     best = {eps: abs((f1 + eps * g1) - (f2 + eps * g2)) for eps in (1, -1)}
@@ -368,6 +372,6 @@ def table_one_lseries(alpha: int, bound: int = 200,
         raise DegenerateInputError(f"alpha={alpha} is not a catalogued parameter")
     _, conductor = TABLE_ONE[alpha]
     apt = ap_table(deuring_curve(alpha), conductor, bound, overrides)
-    coeffs = an_coefficients(apt, bound)
-    eps = epsilon_detect(conductor, coeffs, bound)
-    return LSeries(conductor, eps, coeffs)
+    series = LSeries(conductor, 1, an_coefficients(apt, bound))
+    series.epsilon = _sign(series, bound)
+    return series

@@ -26,7 +26,6 @@ of one batched tanh-sinh call.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -38,9 +37,7 @@ from .numerics import (
     DegenerateInputError,
     Tolerance,
     integrate_adaptive,
-    integrate_endpoint_singular,
     integrate_panel_rows,
-    solve_quadratic_stable,
     solve_quadratic_stable_array,
 )
 
@@ -140,16 +137,6 @@ def _roots(coeffs) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Jensen reduction on |x| = 1
 # ---------------------------------------------------------------------------
-
-
-def _torus_roots(p: BivariatePoly, theta: float):
-    x = cmath.exp(1j * theta)
-    a, b, c = p.coeffs_at(x)
-    if p.y_degree == 2:
-        return solve_quadratic_stable(a, b, c)
-    if p.y_degree == 1:
-        return (-c / b,) if b != 0 else ()
-    return ()
 
 
 # np.roots resolves a double root only to about sqrt(eps) ~ 1e-8, so a root
@@ -321,51 +308,52 @@ def eta_path_integral(x_of_t, y_of_t, partition,
     """Numeric line integral of eta along t -> (x(t), y(t)).
 
     ``partition`` is the increasing list of parameter breakpoints; x and y
-    must be nonvanishing on every closed subinterval.
+    must be nonvanishing on every closed subinterval.  ``x_of_t`` and
+    ``y_of_t`` map an array of t to an array of values.
     """
-    if len(partition) < 2:
-        raise DegenerateInputError("partition needs at least two breakpoints")
+    if len(partition) < 2 or not all(lo < hi for lo, hi in zip(partition, partition[1:])):
+        raise DegenerateInputError(f"need at least two increasing breakpoints, got {partition!r}")
+    return _eta_rows(x_of_t, y_of_t, np.stack([partition[:-1], partition[1:]], axis=-1), tol)
 
-    def integrand(t, h):
+
+def _eta_rows(x_of_t, y_of_t, ends: np.ndarray, tol: Tolerance) -> float:
+    """Sum of the eta integrals over the intervals ``ends[i] = (lo, hi)``.
+
+    Each interval is one row of one ``integrate_panel_rows`` call.  The
+    derivatives are central differences with a step of 1e-7 of the
+    interval's width (at least 1e-12).
+    """
+    step = np.maximum(1e-7 * (ends[:, 1] - ends[:, 0]), 1e-12)
+
+    def integrand(t, row):
         x, y = x_of_t(t), y_of_t(t)
-        if x == 0 or y == 0:
-            raise SingularPathError(f"path hits a zero of x or y at t={t}")
+        zero = (x == 0) | (y == 0)
+        if zero.any():
+            raise SingularPathError(f"path hits a zero of x or y at t={t[zero][0]}")
+        h = step[row]
         dx = (x_of_t(t + h) - x_of_t(t - h)) / (2.0 * h)
         dy = (y_of_t(t + h) - y_of_t(t - h)) / (2.0 * h)
-        return math.log(abs(x)) * (dy / y).imag - math.log(abs(y)) * (dx / x).imag
+        return np.log(np.abs(x)) * (dy / y).imag - np.log(np.abs(y)) * (dx / x).imag
 
-    total = 0.0
-    for lo, hi in zip(partition[:-1], partition[1:]):
-        h = max(1e-7 * (hi - lo), 1e-12)
-        total += integrate_endpoint_singular(
-            lambda t: integrand(t, h), lo, hi, tol
-        ).value
-    return total
+    return sum(r.value for r in integrate_panel_rows(integrand, ends[:, None], tol))
 
 
 def jensen_path_eta(spec: FamilySpec, tol: Tolerance = Tolerance(absolute=1e-9)) -> float:
     """int eta over the family's Jensen path {|x|=1, |y| >= 1}.
 
     Equals -2 pi (m(P) - m(P*)) by Jensen's formula; both torus halves
-    are covered via the conjugation symmetry of real coefficients.
+    are covered via the conjugation symmetry of real coefficients.  The
+    path follows the larger y-root over the panels of ``split_angles``
+    where it lies outside the unit circle.
     """
     p = family_poly(spec)
-    panels = p.panels
 
-    def x_of(th):
-        return cmath.exp(1j * th)
+    def y_of(theta):
+        roots = _root_rows(p, *p.coeffs_at(np.exp(1j * theta)))
+        return roots[np.arange(len(roots)), np.abs(roots).argmax(axis=1)]
 
-    def y_of(th):
-        roots = _torus_roots(p, th)
-        return max(roots, key=abs)
-
-    total = 0.0
-    for lo, hi in zip(panels[:-1], panels[1:]):
-        mid = 0.5 * (lo + hi)
-        try:
-            if abs(y_of(mid)) < 1.0 + 1e-13:
-                continue  # panel lies outside the Jensen path
-        except DegenerateInputError:
-            pass
-        total += eta_path_integral(x_of, y_of, [lo, hi], tol)
-    return 2.0 * total  # conjugate half of the torus contributes equally
+    panels = np.array(p.panels)
+    ends = np.stack([panels[:-1], panels[1:]], axis=-1)
+    on_path = np.abs(y_of(0.5 * (ends[:, 0] + ends[:, 1]))) >= 1.0 + 1e-13
+    # the conjugate half of the torus contributes equally
+    return 2.0 * _eta_rows(lambda th: np.exp(1j * th), y_of, ends[on_path], tol)

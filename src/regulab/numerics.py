@@ -1,15 +1,14 @@
 """Precision-controlled quadrature and root-finding helpers.
 
-Every integrator here is the tanh-sinh (double-exponential) rule of
-Takahasi and Mori, which tolerates integrable inverse-square-root and
-logarithmic blow-up at the interval ends.  It comes in a scalar form,
-an array form that integrates a vectorised integrand over several
-panels at once, and a row form that runs many such array integrals side
-by side.  The array and row forms call the integrand once on the nodes
-of refinement levels 0-3 together and then once per further level, for
-all rows still refining.  All forms share one node table and one
-stopping rule, and return a :class:`QuadratureResult` with an error
-estimate and an evaluation count.
+There is one integrator, ``integrate_panel_rows``: the tanh-sinh
+(double-exponential) rule of Takahasi and Mori, which tolerates
+integrable inverse-square-root and logarithmic blow-up at the interval
+ends.  It runs many integrals (rows) of one vectorised integrand side
+by side, each over a sum of panels, and calls the integrand once on the
+nodes of refinement levels 0-3 together and then once per further
+level, for all rows still refining.  The other ``integrate_*`` names
+are one-row entries to it.  Each row gets a :class:`QuadratureResult`
+with an error estimate and an evaluation count.
 
 Interior singularities are *not* handled here; callers split the domain
 at known bad points first.
@@ -73,9 +72,16 @@ def integrate_adaptive(
     called once for levels 0-3 and then once per further level, so at most
     ``_TS_LEVELS - 2`` times, and never at a or b, where it may have
     integrable singularities.
-    Stopping and error semantics are those of ``integrate_endpoint_singular``.
+    Stopping and error semantics are those of ``integrate_panel_rows``.
     """
     return integrate_panels_singular(f, [(a, b)], tol)
+
+
+def integrate_endpoint_singular(
+    f: Callable[[float], float], a: float, b: float, tol: Tolerance = Tolerance()
+) -> QuadratureResult:
+    """``integrate_adaptive`` of a scalar integrand f(x) -> float."""
+    return integrate_adaptive(np.vectorize(f, otypes=[float]), a, b, tol)
 
 
 # tanh-sinh abscissa: x = mid + half*tanh(pi/2*sinh(t)).  Offsets from the
@@ -89,29 +95,6 @@ _TS_LEVELS = 12  # refinements after the h = 1 trapezoid
 # level is one call.
 _TS_FUSED = 3
 _TS_GROUPS = ((0, _TS_FUSED),) + tuple((j, j) for j in range(_TS_FUSED + 1, _TS_LEVELS + 1))
-
-
-@functools.lru_cache(maxsize=None)
-def _ts_level(level: int) -> tuple:
-    """New nodes of one level as (divisor, cosh_t, cosh_u2, left).
-
-    Level 0: t = -4..4 at h = 1; level j: the odd multiples of h = 2^-j
-    within _TS_TMAX.  On (a, b) a node lies (b - a) / divisor from its
-    nearer endpoint, the left one where ``left`` is true, with weight
-    (b - a)/2 * (pi/2) * cosh_t / cosh_u2 before the step h.
-    """
-    h = 0.5**level
-    n = int(_TS_TMAX / h)
-    if level == 0:
-        ks = range(-n, n + 1)
-    else:
-        ks = range(-n if n % 2 else 1 - n, n + 1, 2)
-    nodes = []
-    for k in ks:
-        t = k * h
-        u = 0.5 * math.pi * math.sinh(t)
-        nodes.append((1.0 + math.exp(2.0 * abs(u)), math.cosh(t), math.cosh(u) ** 2, u < 0))
-    return tuple(nodes)
 
 
 @dataclass(frozen=True)
@@ -133,55 +116,23 @@ class _NodeGroup:
 
 @functools.lru_cache(maxsize=None)
 def _ts_group(first: int, last: int) -> _NodeGroup:
-    nodes = [(j, *node) for j in range(first, last + 1) for node in _ts_level(j)]
+    # level 0: t = -4..4 at h = 1; level j: the odd multiples of h = 2^-j
+    # within _TS_TMAX.  On (a, b) a node lies (b - a) / divisor from its
+    # nearer endpoint, with weight (b - a)/2 * (pi/2) * cosh t / cosh^2 u.
+    nodes = []
+    for j in range(first, last + 1):
+        h = 0.5**j
+        n = int(_TS_TMAX / h)
+        for k in range(-n, n + 1) if j == 0 else range(-n if n % 2 else 1 - n, n + 1, 2):
+            u = 0.5 * math.pi * math.sinh(k * h)
+            nodes.append((j, 1.0 + math.exp(2.0 * abs(u)), math.cosh(k * h), math.cosh(u) ** 2,
+                          u < 0))
     level, divisor, cosh_t, cosh_u2, left = (np.array(col) for col in zip(*nodes))
     group = _NodeGroup(np.where(left, 1.0, -1.0) / divisor, 0.25 * math.pi * cosh_t / cosh_u2,
                        left, level - first, 0.5 ** np.arange(first, last + 1))
     for arr in vars(group).values():
         arr.setflags(write=False)
     return group
-
-
-def integrate_endpoint_singular(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: Tolerance = Tolerance(),
-    *,
-    offsets: bool = False,
-) -> QuadratureResult:
-    """Tanh-sinh integration of f over (a, b).
-
-    Tolerates integrable endpoint singularities up to (x-a)^(-1/2) and
-    log(x-a) behavior (and likewise at b).  f is never evaluated at the
-    endpoints themselves.
-
-    With ``offsets=True`` the integrand is called as f(off_a, off_b),
-    where off_a = x - a and off_b = b - x are computed cancellation-free.
-    A plain f(x) cannot resolve offsets below ~1e-16*(b-a), which caps
-    its accuracy near 1e-8 for inverse-square-root singularities; the
-    offset form reaches machine precision.
-    """
-    if not a < b:
-        raise DegenerateInputError(f"need a < b, got a={a}, b={b}")
-    width = b - a
-    scale = 0.5 * width * 0.5 * math.pi
-
-    def level_sum(level):
-        nodes = _ts_level(level)
-        acc = 0.0
-        for divisor, cosh_t, cosh_u2, left in nodes:
-            off = width / divisor
-            w = scale * cosh_t / cosh_u2
-            if offsets:
-                acc += w * f(off, width - off) if left else w * f(width - off, off)
-                continue
-            x = a + off if left else b - off
-            if a < x < b:  # else rounded onto an endpoint; weighted term is ~1e-37
-                acc += w * f(x)
-        return acc, len(nodes)
-
-    return _refine(level_sum, tol)
 
 
 def integrate_panels_singular(
@@ -196,7 +147,7 @@ def integrate_panels_singular(
     panel end and is never evaluated there.  Each call of f takes one
     array holding the new nodes of every panel: those of levels 0-3 in the
     first call, of one further level in each later one.  Stopping and error
-    semantics are those of ``integrate_endpoint_singular``.
+    semantics are those of ``integrate_panel_rows``.
     """
     if not panels or not all(a < b for a, b in panels):
         raise DegenerateInputError(f"need panels with a < b, got {panels!r}")
@@ -216,12 +167,14 @@ def integrate_panel_rows(
     still refining, ``row[j]`` being the row of node ``x[j]``: the first
     call holds the nodes of levels 0.._TS_FUSED, and each later call those
     of one further level, up to ``_TS_LEVELS``.  Each level's sum is kept
-    apart, so a row stops by ``_refine``'s rule, level by level, at the
-    level and with the value and error estimate of the row integrated
-    alone, and ``tol.max_evaluations`` is a budget per row checked before
-    each level.  Its evaluation count is that of the nodes evaluated,
-    which includes any levels of the first call past its stop.  A row that
-    stalls raises NoConvergenceError carrying that row's best estimate.
+    apart, so a row stops, level by level, at its first level whose
+    estimate differs from the one before by at most 0.1 * tol: the level,
+    value and error estimate of the row integrated alone.
+    ``tol.max_evaluations`` is a budget per row checked before each level.
+    At the level cap or the budget a difference up to tol is accepted; a
+    row left above that stalls and raises NoConvergenceError carrying that
+    row's best estimate.  A row's evaluation count is that of the nodes
+    evaluated, which includes any levels of the first call past its stop.
     """
     ends = np.asarray(ends, dtype=float)
     if (ends.ndim != 3 or ends.shape[2] != 2 or not np.all(np.isfinite(ends))
@@ -277,37 +230,6 @@ def integrate_panel_rows(
             f"tanh-sinh quadrature stalled at error {err[i]:.3g}", results[i]
         )
     return results
-
-
-def _refine(level_sum, tol: Tolerance) -> QuadratureResult:
-    """Add tanh-sinh levels until two successive estimates differ by at most 0.1*tol.
-
-    ``level_sum(level)`` returns the weighted sum over that level's new
-    nodes, without the step h, and the number of evaluations it made.  At
-    the level cap or the evaluation budget a difference up to tol is
-    accepted; beyond that NoConvergenceError carries the best estimate.
-    """
-    evals = 0
-    total = 0.0
-    estimate = 0.0
-    err = math.inf
-    for level in range(_TS_LEVELS + 1):
-        if evals > tol.max_evaluations:
-            break
-        acc, n = level_sum(level)
-        evals += n
-        total += acc
-        prev, estimate = estimate, 0.5**level * total
-        if level:
-            err = abs(estimate - prev)
-            if err <= max(tol.absolute, tol.relative * abs(estimate)) * 0.1:
-                return QuadratureResult(estimate, err, max(evals, 1))
-    best = QuadratureResult(estimate, err, max(evals, 1))
-    if err <= max(tol.absolute, tol.relative * abs(estimate)):
-        return best
-    raise NoConvergenceError(
-        f"tanh-sinh quadrature stalled at error {err:.3g}", best
-    )
 
 
 def solve_quadratic_stable(a: complex, b: complex, c: complex) -> tuple[complex, complex]:

@@ -22,7 +22,7 @@ from regulab.divisors import (
 from regulab.elliptic import deuring_curve
 from regulab.lfunctions import TABLE_ONE, ap_table, lambda_completed, table_one_lseries
 from regulab.mahler import FamilySpec, family_poly, mahler_quadratic_y, mahler_torus2
-from regulab.numerics import Tolerance, integrate_endpoint_singular
+from regulab.numerics import Tolerance, integrate_adaptive
 
 TWO_PI = 2.0 * math.pi
 
@@ -110,10 +110,10 @@ def test_ac8_steinberg_symbols_vanish():
 
 
 def test_ac9_numeric_foundations():
-    # endpoint-singular quadrature at full precision
-    pi_val = integrate_endpoint_singular(
-        lambda da, db: 1.0 / math.sqrt(da * db), 0.0, 1.0,
-        Tolerance(absolute=1e-13), offsets=True,
+    # endpoint-singular quadrature at full precision: pi = 2 int_0^{1/2}
+    # dt / sqrt(t (1 - t)), whose singular end sits at an exact 0
+    pi_val = 2.0 * integrate_adaptive(
+        lambda t: 1.0 / np.sqrt(t * (1.0 - t)), 0.0, 0.5, Tolerance(absolute=1e-13),
     ).value
     quad_res = abs(pi_val - math.pi)
 

@@ -84,6 +84,16 @@ class TestMain:
         assert "below the floor 1e-13" in capsys.readouterr().err
         assert main(argv + ["1e-13"]) == 0
 
+    def test_torus2_integrates_at_the_tol_it_reports(self, capsys):
+        # it stalls short of 1e-12, and meets 1e-8 (Jensen gives 0.6168709388)
+        argv = ["mahler", "--family", "P", "--alpha", "3", "--method", "torus2", "--tol"]
+        assert main(argv + ["1e-12"]) == 1
+        assert "numeric failure" in capsys.readouterr().err
+        assert main(argv + ["1e-8", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["records"][0]["lhs"] == pytest.approx(0.6168709388, abs=1e-8)
+        assert data["params"]["tol"] == 1e-8
+
     def test_verify_diamonds_exact(self, capsys):
         code = main(["verify", "diamonds", "--json"])
         assert code == 0

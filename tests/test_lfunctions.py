@@ -262,6 +262,23 @@ class TestCompletedL:
             ref = half(0) + series14.epsilon * half(2)
         assert abs(lambda_completed(series14, 0.0) - ref) < 1e-13 * abs(ref)
 
+    def test_l_prime_zero_of_every_table_one_row_against_mpmath(self):
+        # the same half-sums at 30 digits; a weight depends on (N, s, n) alone
+        weights = {}
+        with mpmath.workdps(30):
+            for alpha in TABLE_ONE:
+                series = table_one_lseries(alpha)
+                rtn = mpmath.sqrt(series.conductor)
+                ref = 0
+                for s, sign in ((0, 1), (2, series.epsilon)):
+                    for n, an in enumerate(series.coefficients):
+                        key = (series.conductor, s, n)
+                        if n and an and key not in weights:
+                            x = 2 * mpmath.pi * n / rtn
+                            weights[key] = (rtn / (2 * mpmath.pi * n)) ** s * mpmath.gammainc(s, x)
+                        ref += sign * an * weights[key] if n and an else 0
+                assert abs(l_prime_zero(series) - ref) < 1e-13 * abs(ref), alpha
+
     @pytest.mark.parametrize("m", [0, -5])
     def test_rejects_nonpositive_m(self, series14, m):
         with pytest.raises(DegenerateInputError, match=f"m={m}"):

@@ -2,6 +2,9 @@
 
 import math
 
+import cmath
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -13,12 +16,14 @@ from regulab.numerics import (
     NoConvergenceError,
     QuadratureResult,
     Tolerance,
+    carlson_rf,
     integrate_adaptive,
     integrate_endpoint_singular,
     integrate_panel_rows,
     integrate_panels_singular,
     solve_quadratic_stable,
     solve_quadratic_stable_array,
+    upper_gamma,
 )
 
 
@@ -256,3 +261,48 @@ class TestQuadraticSolver:
     def test_array_form_rejects_zero_leading_coefficient(self):
         with pytest.raises(DegenerateInputError):
             solve_quadratic_stable_array(np.array([1.0, 0.0]), 1.0, 1.0)
+
+
+def _rel(got, want) -> float:
+    return abs(got - want) / abs(want)
+
+
+class TestCarlsonRF:
+    """R_F against mpmath's 30-digit elliprf."""
+
+    def test_cut_plane_triples(self):
+        rng = np.random.default_rng(11)
+        with mpmath.workdps(30):
+            for _ in range(100):
+                # moduli over six decades, phases up to 0.001 rad from the cut at pi
+                args = [cmath.rect(10.0 ** rng.uniform(-3, 3), 3.1406 * rng.uniform(-1, 1))
+                        for _ in range(3)]
+                assert _rel(carlson_rf(*args), complex(mpmath.elliprf(*args))) < 2e-15, args
+
+    def test_one_zero_argument_forms_of_period_lattice(self):
+        # (0, e1-e2, e1-e3) and (0, e1-e3, e2-e3) for three real roots; for one
+        # real root r and a pair c, conj(c): (0, r-c, r-conj c) and (0, c-r, conj c-r),
+        # with the pair as near as 0.01 to the real axis
+        rng = np.random.default_rng(12)
+        with mpmath.workdps(30):
+            for _ in range(25):
+                e1, e2, e3 = sorted(rng.uniform(-5, 5, 3), reverse=True)
+                r, c = rng.uniform(-5, 5), complex(rng.uniform(-5, 5), rng.uniform(0.01, 5))
+                for args in ((0.0, e1 - e2, e1 - e3), (0.0, e1 - e3, e2 - e3),
+                             (0.0, r - c, r - c.conjugate()), (0.0, c - r, c.conjugate() - r)):
+                    assert _rel(carlson_rf(*args), complex(mpmath.elliprf(*args))) < 2e-15, args
+
+    def test_two_zero_arguments_diverge(self):
+        assert carlson_rf(0.0, 0.0, 2.0) == math.inf
+
+
+class TestUpperGamma:
+    @pytest.mark.parametrize("s", [0.0, 0.7, 1.0, 1.3, 2.0])
+    def test_against_mpmath_on_a_log_grid(self, s):
+        x = np.geomspace(1e-3, 700.0, 120)
+        with mpmath.workdps(30):
+            want = np.array([float(mpmath.gammainc(s, v)) for v in x])
+        assert np.max(np.abs(upper_gamma(s, x) / want - 1.0)) < 2e-14
+
+    def test_exactly_zero_where_exp_underflows(self):
+        assert not np.any(upper_gamma(0.7, np.array([746.0, 800.0, 1e4])))

@@ -196,14 +196,10 @@ def _derivation(chain, tol):
     return records
 
 
-@functools.lru_cache(maxsize=None)
-def _steinberg_class(family):
-    cat = family_divisor_catalog(family)
-    return diamond(cat["steinberg_f"], cat["steinberg_1mf"])
-
-
 def _steinberg(family, param, tol):
-    val = family_embedding(family, param).elliptic_dilog_of(_steinberg_class(family))
+    cat = family_divisor_catalog(family)
+    st = diamond(cat["steinberg_f"], cat["steinberg_1mf"])
+    val = family_embedding(family, param).elliptic_dilog_of(st)
     return [Record(f"{family}-steinberg@{param:g}", val, 0.0, abs(val), tol)]
 
 

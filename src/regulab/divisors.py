@@ -3,9 +3,13 @@
 Points are integer words in named generators with declared torsion
 relations, so divisor identities are checked by exact integer
 arithmetic even when the underlying coordinates live in quadratic
-extensions.  The diamond operation lands in the inversion quotient
-Z[E]^- where (g) + (-g) = 0; Steinberg symbols {f, 1-f} give the
-"free moves" used to pass between equivalent diamond values.
+extensions.  A divisor is its group and a dict from reduced coefficient
+tuples to multiplicities: sums, canonical forms and diamonds work on the
+tuples, and SymbolicPoints are made only where the API hands them out.
+The diamond operation lands in the inversion quotient Z[E]^- where
+(g) + (-g) = 0; Steinberg symbols {f, 1-f} give the "free moves" used to
+pass between equivalent diamond values.  The family catalogs are constant
+data, built once per process.
 
 Numeric embeddings (coordinates, elliptic logarithms, Tate-curve
 points) are attached separately and only when a dilogarithm evaluation
@@ -15,6 +19,7 @@ or a claimed-divisor check needs them.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -54,11 +59,12 @@ class PointGroup:
             if n <= 0:
                 raise ValueError("orders must be positive")
 
+    @functools.cached_property
+    def moduli(self) -> tuple:  # each generator's order, 0 for a free one
+        return tuple(dict(self.orders).get(g, 0) for g in self.generators)
+
     def order_of(self, name: str):
-        for g, n in self.orders:
-            if g == name:
-                return n
-        return None
+        return dict(self.orders).get(name)
 
     def point(self, **coeffs) -> "SymbolicPoint":
         vec = [0] * len(self.generators)
@@ -78,20 +84,18 @@ class SymbolicPoint:
     coeffs: tuple
 
     def __post_init__(self):
-        vec = list(self.coeffs)
-        for i, name in enumerate(self.group.generators):
-            n = self.group.order_of(name)
-            if n is not None:
-                vec[i] %= n
-        object.__setattr__(self, "coeffs", tuple(vec))
+        reduced = [c % n if n else c for c, n in zip(self.coeffs, self.group.moduli)]
+        object.__setattr__(self, "coeffs", tuple(reduced))
+
+    def __hash__(self):  # equal points have equal coefficients; the group is not hashed
+        return hash(self.coeffs)
 
     def __neg__(self):
         return SymbolicPoint(self.group, tuple(-c for c in self.coeffs))
 
     def __add__(self, other):
-        _same_group(self, other)
         return SymbolicPoint(
-            self.group, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
+            _same_group(self, other), tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
         )
 
     def __sub__(self, other):
@@ -122,49 +126,58 @@ class SymbolicPoint:
 
 
 def _same_group(a, b):
-    if a.group != b.group:
+    """The operands' common group (an empty divisor takes the other's)."""
+    if a and b and a.group != b.group:
         raise MixedGroupError("operands over different point groups")
+    return a.group if a else b.group
+
+
+def _accumulate(terms: dict, pairs) -> dict:
+    """Add (coefficient tuple, multiplicity) pairs into ``terms``, dropping zero sums."""
+    for c, m in pairs:
+        new = terms.get(c, 0) + m
+        if new:
+            terms[c] = new
+        else:
+            terms.pop(c, None)
+    return terms
 
 
 class FormalDivisor:
     """Finite Z-linear combination of symbolic points."""
 
     def __init__(self, terms=None):
-        self._terms = {}
-        if terms:
-            for p, m in (terms.items() if isinstance(terms, dict) else terms):
-                self._add(p, m)
+        pairs = list(terms.items() if isinstance(terms, dict) else terms or ())
+        for p, _ in pairs:
+            _same_group(pairs[0][0], p)
+        self.group = pairs[0][0].group if pairs else None
+        self._terms = _accumulate({}, ((p.coeffs, m) for p, m in pairs))
 
-    def _add(self, p: SymbolicPoint, m: int):
-        if m == 0:
-            return
-        new = self._terms.get(p, 0) + m
-        if new:
-            self._terms[p] = new
-        else:
-            self._terms.pop(p, None)
+    @classmethod
+    def _of(cls, group, terms: dict):  # reduced tuples -> nonzero multiplicities, not copied
+        d = cls()
+        d.group, d._terms = group, terms
+        return d
 
-    def items(self):
-        return self._terms.items()
+    def items(self) -> list:
+        return [(SymbolicPoint(self.group, c), m) for c, m in self._terms.items()]
 
     def multiplicity(self, p: SymbolicPoint) -> int:
-        return self._terms.get(p, 0)
+        return self._terms.get(p.coeffs, 0) if self.group == p.group else 0
 
     @property
     def degree(self) -> int:
         return sum(self._terms.values())
 
     def __add__(self, other):
-        out = FormalDivisor(dict(self._terms))
-        for p, m in other.items():
-            out._add(p, m)
-        return out
+        group = _same_group(self, other)
+        return FormalDivisor._of(group, _accumulate(dict(self._terms), other._terms.items()))
 
     def __sub__(self, other):
         return self + (-1) * other
 
     def __rmul__(self, k: int):
-        return FormalDivisor({p: k * m for p, m in self._terms.items()})
+        return FormalDivisor._of(self.group, {c: k * m for c, m in self._terms.items() if k})
 
     def __neg__(self):
         return (-1) * self
@@ -172,7 +185,7 @@ class FormalDivisor:
     def __eq__(self, other):
         if not isinstance(other, FormalDivisor):
             return NotImplemented
-        return self._terms == other._terms
+        return self._terms == other._terms and (not self._terms or self.group == other.group)
 
     def __bool__(self):
         return bool(self._terms)
@@ -181,14 +194,34 @@ class FormalDivisor:
         if not self._terms:
             return "0"
         bits = []
-        for p, m in sorted(self._terms.items(), key=lambda kv: kv[0].coeffs):
+        for c, m in sorted(self._terms.items()):
             coef = "" if m == 1 else ("-" if m == -1 else str(m))
-            bits.append(f"{coef}({p.label})")
+            bits.append(f"{coef}({SymbolicPoint(self.group, c).label})")
         return " + ".join(bits).replace("+ -", "- ")
 
 
 class MinusDivisor(FormalDivisor):
     """FormalDivisor reduced in Z[E]^-; construct via canonicalize_minus."""
+
+
+def _minus(group, terms, strip: bool = False) -> MinusDivisor:
+    """Z[E]^- form of (tuple, multiplicity) pairs, one negation each; ``strip`` drops 2-torsion."""
+    moduli = group.moduli if group is not None else ()
+    out = {}
+    for c, m in terms:
+        neg = tuple([-a % n if n else -a for a, n in zip(c, moduli)])
+        if neg == c:
+            if m % 2 and not strip:
+                out[c] = out.get(c, 0) ^ 1  # parity; the point keeps its place
+            continue
+        if neg > c:
+            c, m = neg, -m
+        new = out.get(c, 0) + m
+        if new:
+            out[c] = new
+        else:
+            out.pop(c, None)
+    return MinusDivisor._of(group, {c: m for c, m in out.items() if m})
 
 
 def canonicalize_minus(d: FormalDivisor) -> MinusDivisor:
@@ -198,27 +231,17 @@ def canonicalize_minus(d: FormalDivisor) -> MinusDivisor:
     coefficient vector (sign flipped if the stored point was the other
     one); self-inverse points keep their multiplicity mod 2.
     """
-    out = MinusDivisor()
-    for p, m in d.items():
-        q = -p
-        if q == p:
-            out._add(p, m % 2)
-        elif q.coeffs > p.coeffs:
-            out._add(q, -m)
-        else:
-            out._add(p, m)
-    # mod-2 reduction may leave zero entries un-normalized; rebuild
-    return MinusDivisor({p: (m % 2 if p == -p else m) for p, m in out.items() if m})
+    return _minus(d.group, d._terms.items())
 
 
 def diamond(f_div: FormalDivisor, g_div: FormalDivisor) -> MinusDivisor:
     """Bilinear diamond: sum_{i,j} m_i n_j (S_i - T_j), in Z[E]^-."""
-    acc = FormalDivisor()
-    for s, m in f_div.items():
-        for t, n in g_div.items():
-            _same_group(s, t)
-            acc._add(s - t, m * n)
-    return canonicalize_minus(acc)
+    group = _same_group(f_div, g_div)
+    moduli = group.moduli if group is not None else ()
+    differences = ((tuple([(a - b) % n if n else a - b for a, b, n in zip(s, t, moduli)]), m * k)
+                   for s, m in f_div._terms.items() for t, k in g_div._terms.items())
+    # summed first, so that each distinct difference is negated once
+    return _minus(group, _accumulate({}, differences).items())
 
 
 # ---------------------------------------------------------------------------
@@ -229,15 +252,19 @@ GROUPS = {name: PointGroup(f.generators, f.orders) for name, f in families.FAMIL
 
 
 def _div(group, *terms):
-    d = FormalDivisor()
-    for m, coeffs in terms:
-        d._add(group.point(**coeffs), m)
-    return d
+    return FormalDivisor([(group.point(**coeffs), m) for m, coeffs in terms])
 
 
 def family_divisor_catalog(family: str) -> dict:
-    """Named divisors of the rational functions used by each family's chain."""
-    family = families.family(family).name
+    """Named divisors of the rational functions used by each family's chain.
+
+    A new dict per call, of divisors built once: no public operation changes one.
+    """
+    return dict(_catalog(families.family(family).name))
+
+
+@functools.cache
+def _catalog(family: str) -> dict:
     if family == "P":
         g = GROUPS["P"]
         return {
@@ -422,16 +449,13 @@ def family_divisor_catalog(family: str) -> dict:
 
 def map_r_to_q(d: FormalDivisor) -> FormalDivisor:
     """Transport an A-free divisor over the R group to the Q group."""
-    out = FormalDivisor()
+    out = []
     for p, m in d.items():
         coeffs = dict(zip(p.group.generators, p.coeffs))
-        if coeffs.get("A", 0) % 2 != 0:
+        if coeffs.pop("A", 0) % 2 != 0:
             raise MixedGroupError(f"term {p.label} involves the extra 2-torsion point")
-        out._add(
-            GROUPS["Q"].point(P=coeffs.get("P", 0), S=coeffs.get("S", 0), T=coeffs.get("T", 0)),
-            m,
-        )
-    return out
+        out.append((GROUPS["Q"].point(**coeffs), m))
+    return FormalDivisor(out)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +470,7 @@ def strip_self_inverse(d: FormalDivisor) -> MinusDivisor:
     the stated diamond expansions omit them; comparisons modulo this
     subgroup carry the full analytic content.
     """
-    return MinusDivisor({p: m for p, m in canonicalize_minus(d).items() if p != -p})
+    return _minus(d.group, d._terms.items(), strip=True)
 
 
 @dataclass

@@ -299,7 +299,7 @@ _GAMMA_ARRAY_X = 20.0  # x from which Gamma(s, x) is one array continued fractio
 
 
 def _gamma_cf(a: float, x, least: float):
-    """e^x x^-a Gamma(a, x), 0 <= a < 1, by the continued fraction: 3e-16 for x >= least >= 1."""
+    """e^x x^-a Gamma(a, x), -2 <= a < 1, by the continued fraction: 5e-16 for x >= least >= 1."""
     t, xa = 0.0, x + 1.0 - a  # x a float or an array
     for k in range(int(6.0 + 95.0 / least), 0, -1):
         t = k * (k - a) / (xa + 2 * k - t)
@@ -307,9 +307,11 @@ def _gamma_cf(a: float, x, least: float):
 
 
 def _upper_gamma_below(a: float, x: float) -> float:
-    """Gamma(a, x) for 0 <= a < 1 at one x < ``_GAMMA_ARRAY_X``."""
+    """Gamma(a, x) for a < 1 at one x < ``_GAMMA_ARRAY_X``."""
     if x >= 1.0:
         return x**a * math.exp(-x) * _gamma_cf(a, x, x)
+    if a < 0:  # below x = 1 the two terms of the downward recurrence do not cancel
+        return (_upper_gamma_below(a + 1.0, x) - x**a * math.exp(-x)) / a
     # Gamma(a) - gamma(a, x) by DLMF 8.7.3; with Gamma(a) its k = 0 term is (Gamma(1+a) - x^a)/a
     lead = -0.5772156649015329 - math.log(x) if a == 0 else (math.gamma(1.0 + a) - x**a) / a
     term, total = 1.0, 0.0
@@ -322,17 +324,15 @@ def _upper_gamma_below(a: float, x: float) -> float:
 def upper_gamma(s: float, x) -> np.ndarray:
     """Gamma(s, x) = int_x^oo t^(s-1) e^-t dt for real s, elementwise in finite x > 0.
 
-    For 0 <= s < 1: the power series below x = 1, above it the even continued
-    fraction of DLMF 8.9.2, x^s e^-x / (x+1-s - 1(1-s)/(x+3-s - ...)), run
-    backward (``_gamma_cf``); one scalar loop per x below
-    ``_GAMMA_ARRAY_X``, one array pass for the rest.  s = 1 is e^-x; s > 1
-    recurs upward, s < 0 downward.  It is exactly 0 where e^-x underflows
-    (x > 745).  The relative error is below 2e-14, except for 0 < s < 0.05
-    (6e-13 at s = 0.001) and s < 0 at large x.
+    For s < 1 and x >= 1: the even continued fraction of DLMF 8.9.2 (any real s),
+    x^s e^-x / (x+1-s - 1(1-s)/(x+3-s - ...)), run backward (``_gamma_cf``); one
+    scalar loop per x below ``_GAMMA_ARRAY_X``, one array pass for the rest.  Below
+    x = 1: the power series for 0 <= s < 1, recurring down from it for s < 0.
+    s = 1 is e^-x; s > 1 recurs upward.  It is exactly 0 where e^-x underflows
+    (x > 745).  The relative error is below 2e-14 for s >= -2 (the depth is checked
+    to there), except within 0.05 of s = 0 or -1 (7e-13 at s = -0.999, +-0.001).
     """
     x = np.asarray(x, dtype=float)
-    if s < 0:
-        return (upper_gamma(s + 1.0, x) - x**s * np.exp(-x)) / s
     if s >= 1:
         if s == 1:
             return np.exp(-x)

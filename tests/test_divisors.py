@@ -6,8 +6,10 @@ from hypothesis import given, settings, strategies as st
 from regulab.divisors import (
     GROUPS,
     FormalDivisor,
+    MinusDivisor,
     MixedGroupError,
     PointGroup,
+    SymbolicPoint,
     canonicalize_minus,
     derive_equivalence,
     diamond,
@@ -191,3 +193,159 @@ class TestEmbeddings:
             - emb.generator_logs["V"]
         )
         assert abs(emb.log(p) - expect) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# reference oracle: the object-based calculus, on dicts from SymbolicPoint to
+# multiplicity, kept here to check the coefficient-tuple implementation
+# ---------------------------------------------------------------------------
+
+
+def _ref_add(terms, p, m):
+    if m == 0:
+        return
+    new = terms.get(p, 0) + m
+    if new:
+        terms[p] = new
+    else:
+        terms.pop(p, None)
+
+
+def _ref(pairs):
+    terms = {}
+    for p, m in pairs:
+        _ref_add(terms, p, m)
+    return terms
+
+
+def _ref_sum(a, b, sign=1):
+    out = dict(a)
+    for p, m in b.items():
+        _ref_add(out, p, sign * m)
+    return out
+
+
+def ref_canonicalize_minus(terms):
+    out = {}
+    for p, m in terms.items():
+        q = -p
+        if q == p:
+            _ref_add(out, p, m % 2)
+        elif q.coeffs > p.coeffs:
+            _ref_add(out, q, -m)
+        else:
+            _ref_add(out, p, m)
+    return _ref((p, m % 2 if p == -p else m) for p, m in out.items() if m)
+
+
+def ref_diamond(f, g):
+    acc = {}
+    for s, m in f.items():
+        for t, n in g.items():
+            _ref_add(acc, s + (-t), m * n)
+    return ref_canonicalize_minus(acc)
+
+
+def ref_strip_self_inverse(terms):
+    return {p: m for p, m in ref_canonicalize_minus(terms).items() if p != -p}
+
+
+def ref_map_r_to_q(terms):
+    out = {}
+    for p, m in terms.items():
+        c = dict(zip(p.group.generators, p.coeffs))
+        assert c.get("A", 0) % 2 == 0
+        _ref_add(out, GROUPS["Q"].point(P=c.get("P", 0), S=c.get("S", 0), T=c.get("T", 0)), m)
+    return out
+
+
+def ref_chain_steps(chain):
+    """(lhs, rhs) of each step of the chain, replayed on the reference."""
+    cat = {f: {k: _ref(d.items()) for k, d in family_divisor_catalog(f).items()} for f in FAMILIES}
+    P, S, Q, R = (cat[f] for f in "PSQR")
+
+    def torsion(group, k):
+        return ref_canonicalize_minus(_ref([(GROUPS[group].point(P=1), k),
+                                            (GROUPS[group].point(P=2), k)]))
+
+    if chain == "S":
+        return [
+            (ref_diamond(P["x"], P["y"]), torsion("P", -6)),
+            (ref_diamond(S["a"], S["b"]), ref_canonicalize_minus(S["minus_x1_diamond_y1"])),
+            (ref_diamond(S["steinberg_f"], S["steinberg_1mf"]),
+             ref_canonicalize_minus(S["steinberg_diamond_claimed"])),
+            (ref_canonicalize_minus(_ref_sum(S["minus_x1_diamond_y1"],
+                                             S["steinberg_diamond_claimed"])), torsion("S", 6)),
+        ]
+    diff = ref_canonicalize_minus(
+        _ref_sum(R["minus_x3_diamond_y3"], R["steinberg_diamond_claimed"], -1))
+    return [
+        (ref_diamond(Q["a"], Q["b"]), ref_canonicalize_minus(Q["minus_x2_diamond_y2"])),
+        (ref_diamond(R["a"], R["b"]), ref_canonicalize_minus(R["minus_x3_diamond_y3"])),
+        (ref_diamond(R["steinberg_f"], R["steinberg_1mf"]),
+         ref_canonicalize_minus(R["steinberg_diamond_claimed"])),
+        (ref_canonicalize_minus(ref_map_r_to_q(diff)),
+         ref_canonicalize_minus(Q["minus_x2_diamond_y2"])),
+    ]
+
+
+def _ordered(d):
+    """Terms in order: equal order keeps every D^E sum over them bit-identical."""
+    return list(d.items())
+
+
+def _divisor_terms(group, multiplicities=st.integers(-3, 3), min_size=0):
+    coeffs = st.tuples(*[st.integers(-7, 7)] * len(group.generators))
+    return st.lists(st.tuples(coeffs, multiplicities), min_size=min_size, max_size=8)
+
+
+def _build(group, raw):
+    pairs = [(SymbolicPoint(group, c), m) for c, m in raw]
+    return FormalDivisor(pairs), _ref(pairs)
+
+
+class TestAgainstTheObjectReference:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(GROUPS)), st.data())
+    def test_canonical_forms_and_diamonds_match(self, name, data):
+        group = GROUPS[name]
+        f, ref_f = _build(group, data.draw(_divisor_terms(group)))
+        g, ref_g = _build(group, data.draw(_divisor_terms(group)))
+        assert _ordered(f) == _ordered(ref_f)
+        assert _ordered(canonicalize_minus(f)) == _ordered(ref_canonicalize_minus(ref_f))
+        assert _ordered(strip_self_inverse(f)) == _ordered(ref_strip_self_inverse(ref_f))
+        assert _ordered(f + g) == _ordered(_ref_sum(ref_f, ref_g))
+        assert _ordered(f - g) == _ordered(_ref_sum(ref_f, ref_g, -1))
+        fg = diamond(f, g)
+        assert isinstance(fg, MinusDivisor)
+        assert _ordered(fg) == _ordered(ref_diamond(ref_f, ref_g))
+        # antisymmetry in Z[E]^-: negating flips the self-inverse parities back
+        assert diamond(g, f) == canonicalize_minus(-fg)
+        assert diamond(f, f + g) == canonicalize_minus(diamond(f, f) + fg)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.permutations(sorted(GROUPS)), st.data())
+    def test_mixed_groups_raise(self, names, data):
+        # positive multiplicities cannot cancel, so both operands have terms
+        f, g = (_build(GROUPS[n], data.draw(_divisor_terms(GROUPS[n], st.integers(1, 3), 1)))[0]
+                for n in names[:2])
+        for op in (FormalDivisor.__add__, FormalDivisor.__sub__, diamond):
+            with pytest.raises(MixedGroupError):
+                op(f, g)
+
+    @pytest.mark.parametrize("chain", ["S", "QR"])
+    def test_chain_steps_match(self, chain):
+        steps = derive_equivalence(chain).steps
+        want = ref_chain_steps(chain)
+        assert len(steps) == len(want)
+        for step, (lhs, rhs) in zip(steps, want):
+            assert _ordered(step.lhs) == _ordered(lhs), step.name
+            assert _ordered(step.rhs) == _ordered(rhs), step.name
+            disc = ref_canonicalize_minus(_ref_sum(lhs, rhs, -1))
+            assert _ordered(step.discrepancy) == _ordered(disc), step.name
+
+    def test_catalog_is_a_fresh_dict_per_call(self):
+        first, second = family_divisor_catalog("S"), family_divisor_catalog("S")
+        assert first is not second and first == second
+        first.clear()
+        assert family_divisor_catalog("S") == second

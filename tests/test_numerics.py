@@ -297,7 +297,8 @@ class TestCarlsonRF:
 
 
 class TestUpperGamma:
-    @pytest.mark.parametrize("s", [0.0, 0.7, 1.0, 1.3, 2.0])
+    # s < 0 is the 2 - s half-sum of Lambda(s) for s > 2
+    @pytest.mark.parametrize("s", [-1.7, -0.3, 0.0, 0.7, 1.0, 1.3, 2.0])
     def test_against_mpmath_on_a_log_grid(self, s):
         x = np.geomspace(1e-3, 700.0, 120)
         with mpmath.workdps(30):

@@ -34,7 +34,6 @@ from .divisors import (
     diamond,
     family_divisor_catalog,
     family_embedding,
-    verify_claimed_divisor,
 )
 from .mahler import (
     BivariatePoly,

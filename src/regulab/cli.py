@@ -8,7 +8,8 @@ takes; an option a campaign does not take exits 2, and an explicit --tol
 replaces the row's tolerance.  Reports are printed as a human table by
 default; --json emits the fixed machine-readable schema and --csv a flat
 record table.  Exit code 0 means every record passed, 1 a failed or
-non-converging check, 2 invalid input.
+non-converging check, 2 invalid input, such as a --tol that is not finite
+and positive.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from typing import NamedTuple
 from . import __version__
 from .dilogarithm import UnresolvedPointError
 from .divisors import (
-    InconclusiveOrderError,
     UnembeddablePointError,
     derive_equivalence,
     diamond,
@@ -318,12 +318,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(_join_grid_values(sys.argv[1:] if argv is None else argv))
     t0 = time.time()
     try:
+        if args.tol is not None and not 0 < args.tol < math.inf:  # false for NaN too
+            raise DegenerateInputError(f"--tol must be finite and > 0, got {args.tol}")
         report = globals()[f"cmd_{args.command}"](args)
     except (DegenerateInputError, ValueError, OSError,
             UnresolvedPointError, UnembeddablePointError, MissingPrimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NoConvergenceError, InconclusiveOrderError) as exc:
+    except NoConvergenceError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
     report.seconds = round(time.time() - t0, 3)

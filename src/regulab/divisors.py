@@ -8,35 +8,33 @@ tuples to multiplicities: sums, canonical forms and diamonds work on the
 tuples, and SymbolicPoints are made only where the API hands them out.
 The diamond operation lands in the inversion quotient Z[E]^- where
 (g) + (-g) = 0; Steinberg symbols {f, 1-f} give the "free moves" used to
-pass between equivalent diamond values.  The family catalogs are constant
-data, built once per process.
+pass between equivalent diamond values.
+
+The family catalogs are constant data, built once per process.  Each line
+c0 + cX X + cY Y on a family's curve is its divisor (a) + (b) + (-a-b) - 3(O)
+through two words a and b, and the functions of the chains are sums and
+differences of lines; only three functions of higher pole order and the
+stated long forms are written out term by term.  The catalog is the
+divisor calculus's only account of these functions: no numeric check of a
+claimed divisor runs here, and the tests tie each line to its equation.
 
 Numeric embeddings (coordinates, elliptic logarithms, Tate-curve
 points) are attached separately and only when a dilogarithm evaluation
-or a claimed-divisor check needs them.
+needs them.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
-import math
 from dataclasses import dataclass, field
-from typing import Callable
-
-import numpy as np
 
 from . import elliptic, families
 from .dilogarithm import elliptic_dilog_divisor
-from .elliptic import CurvePoint, O, WeierstrassCurve
-from .numerics import DegenerateInputError, Tolerance, solve_quadratic_stable
+from .elliptic import CurvePoint, WeierstrassCurve
+from .numerics import DegenerateInputError, Tolerance
 
 
 class MixedGroupError(ValueError):
-    pass
-
-
-class InconclusiveOrderError(RuntimeError):
     pass
 
 
@@ -62,9 +60,6 @@ class PointGroup:
     @functools.cached_property
     def moduli(self) -> tuple:  # each generator's order, 0 for a free one
         return tuple(dict(self.orders).get(g, 0) for g in self.generators)
-
-    def order_of(self, name: str):
-        return dict(self.orders).get(name)
 
     def point(self, **coeffs) -> "SymbolicPoint":
         vec = [0] * len(self.generators)
@@ -100,6 +95,9 @@ class SymbolicPoint:
 
     def __sub__(self, other):
         return self + (-other)
+
+    def __rmul__(self, k: int):
+        return SymbolicPoint(self.group, tuple(k * c for c in self.coeffs))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -251,13 +249,28 @@ def diamond(f_div: FormalDivisor, g_div: FormalDivisor) -> MinusDivisor:
 GROUPS = {name: PointGroup(f.generators, f.orders) for name, f in families.FAMILIES.items()}
 
 
-def _div(group, *terms):
-    return FormalDivisor([(group.point(**coeffs), m) for m, coeffs in terms])
+def _div(*terms) -> FormalDivisor:
+    """m1(p1) + m2(p2) + ... from (m, point) pairs."""
+    return FormalDivisor([(p, m) for m, p in terms])
+
+
+def _line(a: SymbolicPoint, b: SymbolicPoint) -> FormalDivisor:
+    """Divisor of the line through a and b: (a) + (b) + (-a-b) - 3(O).
+
+    With a == b it is the tangent at a; with b == -a the vertical line, whose
+    third point is O.
+    """
+    return _div((1, a), (1, b), (1, -a - b), (-3, a.group.zero()))
 
 
 def family_divisor_catalog(family: str) -> dict:
     """Named divisors of the rational functions used by each family's chain.
 
+    A line is named by its equation in the family's Weierstrass coordinates
+    (X, Y; Z, W for Q and R) and built from two points it passes through; the
+    other functions are sums and differences of named divisors, except S's
+    a_numerator and ab_denominator and R's a_numerator (pole orders 7, 5 and
+    5) and the stated long forms of the chains.
     A new dict per call, of divisors built once: no public operation changes one.
     """
     return dict(_catalog(families.family(family).name))
@@ -265,186 +278,84 @@ def family_divisor_catalog(family: str) -> dict:
 
 @functools.cache
 def _catalog(family: str) -> dict:
+    g = GROUPS[family]
+    O = g.zero()
+    gens = [g.point(**{name: 1}) for name in g.generators]
     if family == "P":
-        g = GROUPS["P"]
-        return {
-            "x": _div(g, (1, dict(P=2)), (1, dict(P=3)), (-1, dict(P=5)), (-1, {})),
-            "y": _div(g, (-1, dict(P=1)), (1, dict(P=3)), (1, dict(P=4)), (-1, {})),
-        }
-    if family == "S":
-        g = GROUPS["S"]
-        P, U, V = dict(P=1), dict(U=1), dict(V=1)
+        (P,) = gens
         cat = {
-            "X-alpha": _div(g, (1, P), (1, dict(P=5)), (-2, {})),
-            "ab_denominator": _div(
-                g, (2, P), (1, dict(P=2)), (1, V), (1, dict(P=2, V=-1)), (-5, {})
-            ),
-            "a_numerator": _div(g, (5, P), (1, U), (1, dict(P=1, U=-1)), (-7, {})),
-            "a": _div(
-                g,
-                (2, P),
-                (1, U),
-                (1, dict(P=1, U=-1)),
-                (-1, dict(P=5)),
-                (-1, dict(P=2)),
-                (-1, V),
-                (-1, dict(P=2, V=-1)),
-            ),
-            "b": _div(
-                g,
-                (2, dict(P=5)),
-                (-1, dict(P=2)),
-                (-1, V),
-                (-1, dict(P=2, V=-1)),
-                (1, {}),
-            ),
-            "X+alpha": _div(g, (1, dict(P=-1, V=1)), (1, dict(P=1, V=-1)), (-2, {})),
-            "alphaX+2Y+alpha^2": _div(
-                g, (1, dict(P=5)), (1, U), (1, dict(P=1, U=-1)), (-3, {})
-            ),
-            "Y": _div(g, (3, dict(P=2)), (-3, {})),
+            "X-Y": _line(P, 2 * P),
+            "Y+(alpha-1)X+alpha": _line(3 * P, 4 * P),
+            "X-alpha": _line(P, -P),
         }
+        # x and y as families._p_from_curve maps the curve to the cubic
+        cat["x"] = cat["X-Y"] - cat["X-alpha"]
+        cat["y"] = cat["Y+(alpha-1)X+alpha"] - cat["X-alpha"]
+        return cat
+    if family == "S":
+        P, U, V = gens
+        cat = {
+            "X-alpha": _line(P, -P),
+            "ab_denominator": _div((2, P), (1, 2 * P), (1, V), (1, 2 * P - V), (-5, O)),
+            "a_numerator": _div((5, P), (1, U), (1, P - U), (-7, O)),
+            "X+alpha": _line(V - P, P - V),
+            "alphaX+2Y+alpha^2": _line(5 * P, U),
+            "Y": _line(2 * P, 2 * P),  # 2P is a flex
+        }
+        cat["a"] = cat["a_numerator"] - cat["ab_denominator"] - cat["X-alpha"]
+        cat["b"] = 2 * cat["X-alpha"] - cat["ab_denominator"]
         # Steinberg pair {f, 1-f} with f = -alpha (X+alpha)/(2Y):
         # constants do not move divisors, so these are quotient divisors
         cat["steinberg_f"] = cat["X+alpha"] - cat["Y"]
         cat["steinberg_1mf"] = cat["alphaX+2Y+alpha^2"] - cat["Y"]
         cat["minus_x1_diamond_y1"] = _div(
-            g,
-            (5, P),
-            (3, dict(P=2)),
-            (1, U),
-            (1, dict(P=1, U=-1)),
-            (3, dict(P=1, U=1)),
-            (3, dict(P=2, U=-1)),
-            (1, dict(U=-1, V=1)),
-            (1, dict(P=2, U=-1, V=-1)),
-            (1, dict(P=-1, U=1, V=1)),
-            (1, dict(P=1, U=1, V=-1)),
-            (-1, V),
-            (-1, dict(P=2, V=-1)),
-            (-3, dict(P=1, V=1)),
-            (3, dict(P=3, V=1)),
+            (5, P), (3, 2 * P), (1, U), (1, P - U), (3, P + U), (3, 2 * P - U), (1, V - U),
+            (1, 2 * P - U - V), (1, U + V - P), (1, P + U - V), (-1, V), (-1, 2 * P - V),
+            (-3, P + V), (3, 3 * P + V),
         )
         cat["steinberg_diamond_claimed"] = _div(
-            g,
-            (1, P),
-            (3, dict(P=2)),
-            (-1, U),
-            (-1, dict(P=1, U=-1)),
-            (-3, dict(P=1, U=1)),
-            (-3, dict(P=2, U=-1)),
-            (-1, dict(U=-1, V=1)),
-            (-1, dict(P=2, U=-1, V=-1)),
-            (-1, dict(P=-1, U=1, V=1)),
-            (-1, dict(P=1, U=1, V=-1)),
-            (1, V),
-            (1, dict(P=2, V=-1)),
-            (3, dict(P=1, V=1)),
-            (-3, dict(P=3, V=1)),
+            (1, P), (3, 2 * P), (-1, U), (-1, P - U), (-3, P + U), (-3, 2 * P - U),
+            (-1, V - U), (-1, 2 * P - U - V), (-1, U + V - P), (-1, P + U - V), (1, V),
+            (1, 2 * P - V), (3, P + V), (-3, 3 * P + V),
         )
         return cat
     if family == "Q":
-        g = GROUPS["Q"]
-        P, S, T = dict(P=1), dict(S=1), dict(T=1)
-        return {
-            "W-alphaZ": _div(g, (1, S), (1, dict(P=1, S=-1)), (1, P), (-3, {})),
-            "W+alphaZ": _div(g, (1, dict(S=-1)), (1, dict(P=1, S=1)), (1, P), (-3, {})),
-            "3Z+4(alpha^2-9)": _div(g, (1, T), (1, dict(T=-1)), (-2, {})),
-            "a": _div(
-                g,
-                (1, S),
-                (1, dict(P=1, S=-1)),
-                (-1, dict(S=-1)),
-                (-1, dict(P=1, S=1)),
-            ),
-            "b": _div(
-                g,
-                (1, T),
-                (1, dict(T=-1)),
-                (1, {}),
-                (-1, dict(S=-1)),
-                (-1, dict(P=1, S=1)),
-                (-1, P),
-            ),
-            "minus_x2_diamond_y2": _div(
-                g,
-                (2, dict(S=1, T=-1)),
-                (2, dict(S=1, T=1)),
-                (-2, dict(P=1, S=1, T=1)),
-                (-2, dict(P=1, S=1, T=-1)),
-                (4, S),
-                (-4, dict(P=1, S=1)),
-            ),
-        }
-    if family == "R":
-        g = GROUPS["R"]
-        P, A, S, T = dict(P=1), dict(A=1), dict(S=1), dict(T=1)
+        P, S, T = gens
         cat = {
-            "W": _div(g, (1, P), (1, A), (1, dict(A=1, P=1)), (-3, {})),
-            "Z-4(beta+1)": _div(g, (1, S), (1, dict(S=-1)), (-2, {})),
-            "3Z+4(beta-5)(beta+1)": _div(g, (1, T), (1, dict(T=-1)), (-2, {})),
-            "a_numerator": _div(
-                g, (3, S), (1, dict(P=1, S=-1)), (1, dict(P=1, S=-2)), (-5, {})
-            ),
-            "a": _div(
-                g,
-                (2, S),
-                (1, dict(P=1, S=-1)),
-                (1, dict(P=1, S=-2)),
-                (-1, P),
-                (-1, A),
-                (-1, dict(A=1, P=1)),
-                (-1, dict(S=-1)),
-            ),
-            "b": _div(
-                g,
-                (1, T),
-                (1, dict(T=-1)),
-                (1, {}),
-                (-1, P),
-                (-1, A),
-                (-1, dict(A=1, P=1)),
-            ),
-            "W-3Z-4(beta-5)(beta+1)": _div(
-                g, (1, S), (1, dict(P=1, S=1)), (1, dict(P=1, S=-2)), (-3, {})
-            ),
-            "minus_x3_diamond_y3": _div(
-                g,
-                (3, dict(S=1, T=-1)),
-                (3, dict(S=1, T=1)),
-                (4, S),
-                (-4, dict(P=1, S=1)),
-                (-1, dict(P=1, S=1, T=1)),
-                (-1, dict(P=1, S=1, T=-1)),
-                (1, dict(S=2)),
-                (-1, dict(P=1, S=2)),
-                (-1, dict(P=1, S=2, T=1)),
-                (1, dict(P=1, S=-2, T=1)),
-                (-2, dict(S=1, A=1)),
-                (1, dict(S=2, A=1)),
-                (-2, dict(S=1, A=1, P=1)),
-                (1, dict(S=2, A=1, P=1)),
-            ),
-            "steinberg_diamond_claimed": _div(
-                g,
-                (1, dict(S=1, T=-1)),
-                (1, dict(S=1, T=1)),
-                (1, dict(P=1, S=1, T=1)),
-                (1, dict(P=1, S=1, T=-1)),
-                (1, dict(P=1, S=-2, T=1)),
-                (1, dict(P=1, S=-2, T=-1)),
-                (1, dict(S=2)),
-                (-1, dict(P=1, S=2)),
-                (-2, dict(S=1, A=1)),
-                (-2, dict(S=1, A=1, P=1)),
-                (1, dict(S=2, A=1)),
-                (1, dict(S=2, A=1, P=1)),
-            ),
+            "W-alphaZ": _line(S, P),
+            "W+alphaZ": _line(-S, P),
+            "3Z+4(alpha^2-9)": _line(T, -T),
         }
-        # {f, 1-f} with f = (W - 3Z - 4(beta-5)(beta+1))/W
-        cat["steinberg_f"] = cat["W-3Z-4(beta-5)(beta+1)"] - cat["W"]
-        cat["steinberg_1mf"] = cat["3Z+4(beta-5)(beta+1)"] - cat["W"]
+        cat["a"] = cat["W-alphaZ"] - cat["W+alphaZ"]
+        cat["b"] = cat["3Z+4(alpha^2-9)"] - cat["W+alphaZ"]
+        cat["minus_x2_diamond_y2"] = _div(
+            (2, S - T), (2, S + T), (-2, P + S + T), (-2, P + S - T), (4, S), (-4, P + S),
+        )
         return cat
+    P, A, S, T = gens
+    cat = {
+        "W": _line(P, A),
+        "Z-4(beta+1)": _line(S, -S),
+        "3Z+4(beta-5)(beta+1)": _line(T, -T),
+        "a_numerator": _div((3, S), (1, P - S), (1, P - 2 * S), (-5, O)),
+        "W-3Z-4(beta-5)(beta+1)": _line(S, P + S),
+    }
+    cat["a"] = cat["a_numerator"] - cat["W"] - cat["Z-4(beta+1)"]
+    cat["b"] = cat["3Z+4(beta-5)(beta+1)"] - cat["W"]
+    cat["minus_x3_diamond_y3"] = _div(
+        (3, S - T), (3, S + T), (4, S), (-4, P + S), (-1, P + S + T), (-1, P + S - T),
+        (1, 2 * S), (-1, P + 2 * S), (-1, P + 2 * S + T), (1, P - 2 * S + T), (-2, S + A),
+        (1, 2 * S + A), (-2, S + A + P), (1, 2 * S + A + P),
+    )
+    cat["steinberg_diamond_claimed"] = _div(
+        (1, S - T), (1, S + T), (1, P + S + T), (1, P + S - T), (1, P - 2 * S + T),
+        (1, P - 2 * S - T), (1, 2 * S), (-1, P + 2 * S), (-2, S + A), (-2, S + A + P),
+        (1, 2 * S + A), (1, 2 * S + A + P),
+    )
+    # {f, 1-f} with f = (W - 3Z - 4(beta-5)(beta+1))/W
+    cat["steinberg_f"] = cat["W-3Z-4(beta-5)(beta+1)"] - cat["W"]
+    cat["steinberg_1mf"] = cat["3Z+4(beta-5)(beta+1)"] - cat["W"]
+    return cat
 
 
 def map_r_to_q(d: FormalDivisor) -> FormalDivisor:
@@ -510,6 +421,12 @@ class DerivationReport:
         return None
 
 
+def _torsion_class(family: str, k: int) -> MinusDivisor:
+    """k(P) + k(2P) in Z[E]^-, where both ends of the S chain land."""
+    P = GROUPS[family].point(P=1)
+    return canonicalize_minus(_div((k, P), (k, 2 * P)))
+
+
 def derive_equivalence(chain: str) -> DerivationReport:
     """Replay a diamond-equivalence chain exactly.
 
@@ -524,12 +441,8 @@ def derive_equivalence(chain: str) -> DerivationReport:
         cat = family_divisor_catalog("S")
         steps = []
         # base family diamond
-        target_p = canonicalize_minus(
-            _div(GROUPS["P"], (-6, dict(P=1)), (-6, dict(P=2)))
-        )
-        steps.append(
-            DerivationStep("x_diamond_y", diamond(catp["x"], catp["y"]), target_p)
-        )
+        steps.append(DerivationStep("x_diamond_y", diamond(catp["x"], catp["y"]),
+                                    _torsion_class("P", -6)))
         # -(x1) dia (y1) = (a) dia (b), stated long form
         lhs_ab = diamond(cat["a"], cat["b"])
         rhs_long = canonicalize_minus(cat["minus_x1_diamond_y1"])
@@ -542,8 +455,8 @@ def derive_equivalence(chain: str) -> DerivationReport:
         collapsed = canonicalize_minus(
             cat["minus_x1_diamond_y1"] + cat["steinberg_diamond_claimed"]
         )
-        target_s = canonicalize_minus(_div(GROUPS["S"], (6, dict(P=1)), (6, dict(P=2))))
-        steps.append(DerivationStep("collapse_to_torsion_class", collapsed, target_s))
+        steps.append(DerivationStep("collapse_to_torsion_class", collapsed,
+                                    _torsion_class("S", 6)))
         return DerivationReport("S", steps)
     if chain in ("QR", "Q/R", "Q"):
         catq = family_divisor_catalog("Q")
@@ -621,7 +534,7 @@ class FamilyEmbedding:
         return GROUPS[self.family]
 
     def coordinates(self, p: SymbolicPoint) -> CurvePoint:
-        acc = O
+        acc = elliptic.O
         for c, name in zip(p.coeffs, p.group.generators):
             acc = elliptic.group_op(
                 self.curve, acc, elliptic.multiply(self.curve, c, self.generator_points[name])
@@ -651,135 +564,3 @@ def family_embedding(family: str, param: float) -> FamilyEmbedding:
             raise UnembeddablePointError(f"generator {name} off curve at param {param}")
     lat = elliptic.period_lattice(curve)
     return FamilyEmbedding(fam.name, a, curve, lat, gens)
-
-
-# ---------------------------------------------------------------------------
-# claimed-divisor verification
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class DivisorCheck:
-    point: object
-    claimed: int
-    slope: float
-    passed: bool
-
-
-@dataclass
-class DivisorReport:
-    checks: list
-    degree_zero: bool
-    abel_jacobi_residual: float
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.degree_zero
-            and all(c.passed for c in self.checks)
-            and self.abel_jacobi_residual < 1e-6
-        )
-
-
-def _branch_y(curve, x, y_near):
-    y1, y2 = solve_quadratic_stable(
-        1.0, curve.a1 * x + curve.a3, -curve.rhs(x)
-    )
-    return y1 if abs(y1 - y_near) <= abs(y2 - y_near) else y2
-
-
-def verify_claimed_divisor(
-    curve: WeierstrassCurve,
-    f: Callable,
-    claimed: FormalDivisor,
-    embedding: FamilyEmbedding,
-    radii=None,
-) -> DivisorReport:
-    """Check a claimed divisor of f(X, Y) numerically.
-
-    Vanishing orders are estimated as slopes of log|f| against the local
-    parameter scale; coincident claimed points are merged first.  The
-    claimed degree must be 0 and the Abel-Jacobi sum must vanish mod the
-    lattice.
-    """
-    if not claimed:
-        return DivisorReport([], True, 0.0)
-    # merge claimed points with numerically equal coordinates
-    clusters = []  # (CurvePoint-or-None(=O), total multiplicity, representative)
-    for p, m in claimed.items():
-        pt = embedding.coordinates(p)
-        for entry in clusters:
-            q = entry[0]
-            if q.infinity and pt.infinity:
-                entry[1] += m
-                break
-            if (not q.infinity and not pt.infinity
-                    and abs(complex(q.x) - complex(pt.x)) < 1e-8 * (1 + abs(complex(q.x)))
-                    and abs(complex(q.y) - complex(pt.y)) < 1e-8 * (1 + abs(complex(q.y)))):
-                entry[1] += m
-                break
-        else:
-            clusters.append([pt, m, p])
-    checks = []
-    for pt, mult, rep in clusters:
-        if radii is not None:
-            rr = radii
-        elif mult < 0:
-            # poles lose no precision; small radii reach the asymptotic regime
-            rr = (1e-5, 10**-5.5, 1e-6)
-        else:
-            # an order-m zero scales like r^m; keep r^m well above roundoff
-            base = 10.0 ** (-8.0 / (mult + 1))
-            rr = (base, base * 10**-0.5, base * 0.1)
-        slope = _order_slope(curve, f, pt, rr)
-        ok = abs(slope - mult) < 0.1
-        if abs(slope - round(slope)) > 0.1:
-            raise InconclusiveOrderError(
-                f"non-integral order estimate {slope:.3f} at {rep.label}"
-            )
-        checks.append(DivisorCheck(rep.label, mult, slope, ok))
-    # Abel-Jacobi: generator-linear logs keep this exact up to roundoff
-    u = sum(m * embedding.log(p) for p, m in claimed.items())
-    lat = embedding.lattice
-    sh = 0.5 * (lat.omega1 + lat.omega2)
-    aj = abs(elliptic.reduce_mod_lattice(u + sh, lat) - sh)
-    return DivisorReport(checks, claimed.degree == 0, aj)
-
-
-def _order_slope(curve, f, pt: CurvePoint, radii) -> float:
-    phase = cmath.exp(0.7j)  # fixed generic approach direction
-    logs = []
-    if pt.infinity:
-        for r in radii:
-            X = phase / r
-            Y = _branch_y(curve, X, X ** 2)  # pick the branch with Y ~ +X^(3/2)
-            logs.append(math.log(abs(f(X, Y))))
-        # slope against log|1/X| measures order/2 (X has a double pole at O)
-        num = (logs[-1] - logs[0]) / (math.log(radii[-1]) - math.log(radii[0]))
-        return 2.0 * num
-    x0, y0 = complex(pt.x), complex(pt.y)
-    w = 2 * y0 + complex(curve.a1) * x0 + complex(curve.a3)
-    scale = 1.0 + abs(x0)
-    if abs(w) < 1e-8 * scale ** 1.5:
-        # 2-torsion: y is the local parameter, x(y) from the nearest cubic root
-        for r in radii:
-            Y = y0 + phase * r * scale
-            roots = np.roots(
-                [1.0, complex(curve.a2), complex(curve.a4) - complex(curve.a1) * Y,
-                 complex(curve.a6) - Y * Y - complex(curve.a3) * Y]
-            )
-            X = min(roots, key=lambda z: abs(z - x0))
-            logs.append(math.log(abs(f(complex(X), Y))))
-    else:
-        dydx = _implicit_dydx(curve, x0, y0)
-        for r in radii:
-            X = x0 + phase * r * scale
-            Y = _branch_y(curve, X, y0 + dydx * (X - x0))
-            logs.append(math.log(abs(f(X, Y))))
-    return (logs[-1] - logs[0]) / (math.log(radii[-1]) - math.log(radii[0]))
-
-
-def _implicit_dydx(curve, x, y):
-    fy = 2 * y + complex(curve.a1) * x + complex(curve.a3)
-    fx = complex(curve.a1) * y - (3 * x * x + 2 * complex(curve.a2) * x + complex(curve.a4))
-    return -fx / fy

@@ -37,10 +37,10 @@ class Tolerance:
     max_evaluations: int = 200_000
 
     def __post_init__(self):
-        if self.absolute <= 0:
-            raise ValueError("absolute tolerance must be > 0")
-        if self.relative < 0:
-            raise ValueError("relative tolerance must be >= 0")
+        if not 0 < self.absolute < math.inf:  # false for NaN too
+            raise ValueError("absolute tolerance must be finite and > 0")
+        if not 0 <= self.relative < math.inf:
+            raise ValueError("relative tolerance must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -306,14 +306,44 @@ def _gamma_cf(a: float, x, least: float):
     return 1.0 / (xa - t)
 
 
+_EULER_GAMMA = 0.5772156649015329
+# zeta(k)/k for k = 2..18: lgamma(1+a) = -gamma a + sum_k (-1)^k zeta(k)/k a^k (DLMF 5.7.3)
+_ZETA_OVER_K = (0.8224670334241132, 0.40068563438653143, 0.27058080842778454,
+                0.20738555102867398, 0.1695571769974082, 0.1440498967688461,
+                0.12550966952474304, 0.11133426586956469, 0.1000994575127818,
+                0.09095401714582904, 0.083353840546109, 0.0769325164113522,
+                0.07143294629536133, 0.06666870588242046, 0.06250095514121304,
+                0.058823978658684585, 0.055555767627403614)
+
+
+def _gamma1p_m1_over(a: float) -> float:
+    """(Gamma(1+a) - 1)/a, and its limit -gamma at a = 0.
+
+    Below |a| = 0.1, where Gamma(1+a) - 1 cancels, it is expm1(lgamma(1+a))/a
+    with lgamma(1+a)/a from its series, whose terms are below 1e-18 by k = 18;
+    math.lgamma itself is only good to about 4e-13 relative near 1.
+    """
+    if a == 0:
+        return -_EULER_GAMMA
+    if abs(a) >= 0.1:
+        return (math.gamma(1.0 + a) - 1.0) / a
+    t = 0.0
+    for c in reversed(_ZETA_OVER_K):
+        t = -a * (c + t)
+    return math.expm1(a * (-_EULER_GAMMA - t)) / a  # the bracket is lgamma(1+a)/a
+
+
 def _upper_gamma_below(a: float, x: float) -> float:
     """Gamma(a, x) for a < 1 at one x < ``_GAMMA_ARRAY_X``."""
     if x >= 1.0:
         return x**a * math.exp(-x) * _gamma_cf(a, x, x)
-    if a < 0:  # below x = 1 the two terms of the downward recurrence do not cancel
+    # recurring down from a + 1 near 1 cancels, and the series' k = 1 term has a pole at a = -1
+    if a < -0.5:
         return (_upper_gamma_below(a + 1.0, x) - x**a * math.exp(-x)) / a
-    # Gamma(a) - gamma(a, x) by DLMF 8.7.3; with Gamma(a) its k = 0 term is (Gamma(1+a) - x^a)/a
-    lead = -0.5772156649015329 - math.log(x) if a == 0 else (math.gamma(1.0 + a) - x**a) / a
+    # Gamma(a) - gamma(a, x) by DLMF 8.7.3; with Gamma(a) its k = 0 term is
+    # (Gamma(1+a) - x^a)/a, taken as (Gamma(1+a) - 1)/a - (x^a - 1)/a to keep it exact as a -> 0
+    log_x = math.log(x)
+    lead = _gamma1p_m1_over(a) - (log_x if a == 0 else math.expm1(a * log_x) / a)
     term, total = 1.0, 0.0
     for k in range(1, 20):  # x^k/k! < 1e-17 by k = 19
         term *= -x / k
@@ -327,10 +357,11 @@ def upper_gamma(s: float, x) -> np.ndarray:
     For s < 1 and x >= 1: the even continued fraction of DLMF 8.9.2 (any real s),
     x^s e^-x / (x+1-s - 1(1-s)/(x+3-s - ...)), run backward (``_gamma_cf``); one
     scalar loop per x below ``_GAMMA_ARRAY_X``, one array pass for the rest.  Below
-    x = 1: the power series for 0 <= s < 1, recurring down from it for s < 0.
+    x = 1: the power series for -0.5 <= s < 1, recurring down from it for s < -0.5.
     s = 1 is e^-x; s > 1 recurs upward.  It is exactly 0 where e^-x underflows
     (x > 745).  The relative error is below 2e-14 for s >= -2 (the depth is checked
-    to there), except within 0.05 of s = 0 or -1 (7e-13 at s = -0.999, +-0.001).
+    to there), near s = 0 and -1 too: at most 1.6e-14 on s = -2, -1.99, ..., 0.99
+    against 25-digit mpmath on 60 log-spaced x in [1e-3, 30].
     """
     x = np.asarray(x, dtype=float)
     if s >= 1:

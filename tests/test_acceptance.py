@@ -14,7 +14,7 @@ from regulab.cli import CAMPAIGNS
 from regulab.dilogarithm import bloch_wigner
 from regulab.divisors import (
     GROUPS,
-    _div,
+    FormalDivisor,
     canonicalize_minus,
     derive_equivalence,
     family_embedding,
@@ -75,7 +75,8 @@ def test_ac4_measure_to_lvalue_ratios():
 
 
 def test_ac5_regulator_ratio_constant():
-    div = canonicalize_minus(_div(GROUPS["P"], (-6, dict(P=1)), (-6, dict(P=2))))
+    P = GROUPS["P"].point(P=1)
+    div = canonicalize_minus(FormalDivisor({P: -6, P + P: -6}))
     ratios = []
     for a in (1.0, 3.0, 7.0):
         emb = family_embedding("P", a)

@@ -14,9 +14,9 @@ import regulab
 from regulab import cli
 from regulab.cli import Record, Report, build_parser, main, parse_grid
 from regulab.dilogarithm import UnresolvedPointError
-from regulab.divisors import InconclusiveOrderError, UnembeddablePointError
+from regulab.divisors import UnembeddablePointError
 from regulab.lfunctions import MissingPrimeError
-from regulab.numerics import DegenerateInputError
+from regulab.numerics import DegenerateInputError, NoConvergenceError, QuadratureResult
 
 
 class TestParseGrid:
@@ -137,7 +137,8 @@ class TestMain:
         assert f"bad grid {grid!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("error,code,prefix", [
-        (InconclusiveOrderError("order not settled"), 1, "numeric failure:"),
+        (NoConvergenceError("budget spent", QuadratureResult(0.5, 1e-3, 100)), 1,
+         "numeric failure:"),
         (UnresolvedPointError("no embedding"), 2, "error:"),
         (UnembeddablePointError("generator off curve"), 2, "error:"),
         (MissingPrimeError("a_p missing"), 2, "error:"),
@@ -168,6 +169,18 @@ class TestMain:
         data = json.loads(capsys.readouterr().out)
         assert data["params"]["tol"] == tol
         assert {r["tol"] for r in data["records"]} == {tol}
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    @pytest.mark.parametrize("argv", [
+        ["verify", "bz1"], ["verify", "diamonds"], ["regulator", "--alpha", "3"],
+        ["mahler", "--family", "P", "--alpha", "3"],
+        ["mahler", "--family", "P", "--alpha", "3", "--method", "torus2"],
+    ])
+    def test_invalid_tol_exits_two_before_any_record(self, argv, tol, capsys):
+        assert main([*argv, f"--tol={tol}", "--json"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: --tol must be finite and > 0")
 
     def test_regulator_verdict_follows_tol(self, capsys):
         # one record, judged at --tol: the ratio is 1 to about 2e-14 at alpha = 3

@@ -32,7 +32,7 @@ class TestTolerance:
         t = Tolerance()
         assert t.absolute == 1e-10 and t.relative == 0.0
 
-    @pytest.mark.parametrize("bad", [0.0, -1e-3])
+    @pytest.mark.parametrize("bad", [0.0, -1e-3, math.nan, math.inf])
     def test_rejects_nonpositive_absolute(self, bad):
         with pytest.raises(ValueError):
             Tolerance(absolute=bad)
@@ -40,6 +40,11 @@ class TestTolerance:
     def test_rejects_negative_relative(self):
         with pytest.raises(ValueError):
             Tolerance(relative=-1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_relative(self, bad):
+        with pytest.raises(ValueError):
+            Tolerance(relative=bad)
 
 
 class TestAdaptive:
@@ -301,6 +306,14 @@ class TestUpperGamma:
     @pytest.mark.parametrize("s", [-1.7, -0.3, 0.0, 0.7, 1.0, 1.3, 2.0])
     def test_against_mpmath_on_a_log_grid(self, s):
         x = np.geomspace(1e-3, 700.0, 120)
+        with mpmath.workdps(30):
+            want = np.array([float(mpmath.gammainc(s, v)) for v in x])
+        assert np.max(np.abs(upper_gamma(s, x) / want - 1.0)) < 2e-14
+
+    @pytest.mark.parametrize("s", [-1.001, -0.999, -0.001, 0.001, 0.03])
+    def test_near_s_zero_and_minus_one_below_x_one(self, s):
+        # where Gamma(1+a) - x^a cancels in the series' lead term, worst near x = 0.89
+        x = np.geomspace(1e-3, 1.0, 120, endpoint=False)
         with mpmath.workdps(30):
             want = np.array([float(mpmath.gammainc(s, v)) for v in x])
         assert np.max(np.abs(upper_gamma(s, x) / want - 1.0)) < 2e-14

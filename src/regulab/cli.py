@@ -256,7 +256,7 @@ def cmd_verify(args) -> Report:
 
 def cmd_regulator(args) -> Report:
     rep = Report("regulator", {"family": args.family, "alpha": args.alpha})
-    if args.family.upper() != "P":
+    if FamilySpec(args.family, args.alpha).family != "P":  # a non-finite alpha raises here
         raise DegenerateInputError("the regulator ratio is defined for the cubic family")
     cat = family_divisor_catalog("P")
     dval = family_embedding("P", args.alpha).elliptic_dilog_of(diamond(cat["x"], cat["y"]))

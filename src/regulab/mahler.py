@@ -103,7 +103,8 @@ class BivariatePoly:
         flat = x.reshape(-1)
         acc = np.zeros((3, flat.size), dtype=complex)
         for coeffs in self.matrix[::-1, :, None]:  # Horner, top power of x first
-            acc = acc * flat + coeffs
+            acc *= flat
+            acc += coeffs
         c, b, a = acc.reshape((3,) + x.shape)
         return a, b, c
 
@@ -130,8 +131,19 @@ def _jensen(lead, roots) -> float:
 
 
 def _roots(coeffs) -> np.ndarray:
-    """Roots of the polynomial with these ascending coefficients."""
-    return np.roots(np.asarray(coeffs, dtype=float)[::-1])
+    """``np.roots`` of these ascending coefficients, from its companion matrix directly."""
+    c = np.asarray(coeffs, dtype=float)
+    nonzero = c.nonzero()[0]
+    if not nonzero.size:
+        return np.array([])
+    zeros, p = nonzero[0], c[nonzero[0]:nonzero[-1] + 1][::-1]
+    if p.size > 2:
+        companion = np.eye(p.size - 1, k=-1)
+        companion[0] = -p[1:] / p[0]
+        roots = np.linalg.eigvals(companion)
+    else:  # no root, or -c0/c1, which is what the 1 x 1 eigenvalue problem gives
+        roots = -p[1:] / p[0]
+    return np.concatenate([roots, np.zeros(zeros, roots.dtype)])
 
 
 # ---------------------------------------------------------------------------
@@ -151,30 +163,28 @@ NEAR_CIRCLE = 0.05
 
 def _unit_circle_angles(roots, band=ON_CIRCLE):
     """Angles in (0, pi] of the ``roots`` within ``band`` of |x| = 1."""
-    return [float(np.angle(r)) for r in roots
-            if abs(abs(r) - 1.0) < band and np.angle(r) > 0.0]
+    theta = np.angle(roots)
+    return theta[(np.abs(np.abs(roots) - 1.0) < band) & (theta > 0.0)].tolist()
 
 
 def _toric_resultant(p: BivariatePoly):
     """y-resultant of P and x^d y^n P(1/x, 1/y), ascending in x.
 
     For real coefficients its unit-circle roots contain every x on |x| = 1
-    where a root y of P crosses |y| = 1.  A self-inversive P (every family
-    here) is its own reciprocal, and the resultant vanishes exactly.
+    where a root y of P crosses |y| = 1.  For a self-inversive P (every family
+    here) g = +-f below: the resultant vanishes identically and is left unformed, [].
     """
     f = p.matrix.T[:p.y_degree + 1]
     g = f[::-1, ::-1]
+    if p.y_degree == 0 or np.array_equal(g, f) or np.array_equal(g, -f):
+        return []
 
-    def det(i, j):  # f_i g_j - g_i f_j: exactly 0 when g == +-f
+    def det(i, j):  # f_i g_j - g_i f_j
         return np.convolve(f[i], g[j]) - np.convolve(g[i], f[j])
 
     if p.y_degree == 1:
-        res = det(1, 0)
-    elif p.y_degree == 2:
-        res = np.convolve(det(2, 0), det(2, 0)) - np.convolve(det(2, 1), det(1, 0))
-    else:
-        return []
-    return res
+        return det(1, 0)
+    return np.convolve(det(2, 0), det(2, 0)) - np.convolve(det(2, 1), det(1, 0))
 
 
 def split_angles(p: BivariatePoly):

@@ -180,8 +180,8 @@ def integrate_panel_rows(
     evaluated, which includes any levels of the first call past its stop.
     """
     ends = np.asarray(ends, dtype=float)
-    if (ends.ndim != 3 or ends.shape[2] != 2 or not np.all(np.isfinite(ends))
-            or np.any(ends[..., 0] > ends[..., 1])):
+    if (ends.ndim != 3 or ends.shape[2] != 2 or not np.isfinite(ends).all()
+            or (ends[..., 0] > ends[..., 1]).any()):
         raise DegenerateInputError(
             f"need shape (rows, panels, 2) with finite panels a <= b, got {ends.tolist()!r}")
     lo, hi = ends[..., :1], ends[..., 1:]
@@ -191,6 +191,12 @@ def integrate_panel_rows(
     err = np.full(len(ends), math.inf)
     evals = np.zeros(len(ends), dtype=int)
     active = np.arange(len(ends))
+
+    def bound(est):  # tol at est; a scalar if tol.relative is 0: a finite diff has a finite est
+        if not tol.relative:
+            return tol.absolute
+        return np.maximum(tol.absolute, tol.relative * np.abs(est))
+
     for first, last in _TS_GROUPS:
         active = active[evals[active] <= tol.max_evaluations]
         if not active.size:
@@ -199,13 +205,22 @@ def integrate_panel_rows(
         a, b, w = lo[active], hi[active], width[active]
         x = np.where(nodes.left, a, b) + w * nodes.step
         inside = (a < x) & (x < b)  # else rounded onto an end; weighted term is ~1e-37
-        pos, _, node = np.nonzero(inside)  # ``pos`` indexes ``active``
+        pos, _, node = inside.nonzero()  # ``pos`` indexes ``active``
         fx = f(x[inside], active[pos])
+        terms = (w * nodes.weight)[inside] * fx
+        if first == last:  # one level: what the general case below leaves, without its tables
+            total[active] += np.bincount(pos, terms, active.size)
+            est = nodes.h[0] * total[active]
+            diff = np.abs(est - estimate[active]) if first else np.full(active.size, math.inf)
+            estimate[active], err[active] = est, diff
+            evals[active] += np.bincount(pos, minlength=active.size)
+            active = active[~(diff <= bound(est) * 0.1)]
+            continue
         # one bin per (row, level): each level's sum adds the same terms in
         # the same order as a call for that level alone would
         shape = (active.size, last - first + 1)
         key = pos * shape[1] + nodes.level[node]
-        sums = np.bincount(key, (w * nodes.weight)[inside] * fx, math.prod(shape)).reshape(shape)
+        sums = np.bincount(key, terms, math.prod(shape)).reshape(shape)
         seen = evals[active, None] + np.cumsum(  # evaluations through each level
             np.bincount(key, minlength=math.prod(shape)).reshape(shape), axis=1)
         # total, estimate and error after each level, as one call per level leaves them
@@ -216,7 +231,7 @@ def integrate_panel_rows(
             diff[:, 0] = math.inf  # level 0 alone has no error estimate
         # a row stops at its first level that converges, or before a level
         # that would start over the budget
-        stop = diff <= np.maximum(tol.absolute, tol.relative * np.abs(est)) * 0.1
+        stop = diff <= bound(est) * 0.1
         stop[:, :-1] |= seen[:, :-1] > tol.max_evaluations
         stopped = stop.any(axis=1)
         row, j = np.arange(active.size), np.where(stopped, stop.argmax(axis=1), shape[1] - 1)
@@ -224,7 +239,7 @@ def integrate_panel_rows(
         evals[active] = seen[:, -1]  # every node of the group was evaluated
         active = active[~stopped]
     # rows left unconverged at the level cap or the budget pass up to tol
-    stalled = np.nonzero(~(err <= np.maximum(tol.absolute, tol.relative * np.abs(estimate))))[0]
+    stalled = np.nonzero(~(err <= bound(estimate)))[0]
     results = [QuadratureResult(v, e, max(n, 1))
                for v, e, n in zip(estimate.tolist(), err.tolist(), evals.tolist())]
     if stalled.size:

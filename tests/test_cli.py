@@ -151,6 +151,9 @@ class TestMain:
         assert main(["verify", "diamonds"]) == code
         assert capsys.readouterr().err.startswith(prefix)
 
+    def test_unembeddable_point_message_has_no_quotes(self):
+        assert str(UnembeddablePointError("generator P off curve")) == "generator P off curve"
+
     @pytest.mark.parametrize("target", ["lemma32", "table1", "diamonds", "steinberg"])
     def test_grid_on_a_campaign_without_one_exits_two(self, target, capsys):
         assert main(["verify", target, "--grid", "1:2:1"]) == 2
@@ -188,6 +191,13 @@ class TestMain:
         data = json.loads(capsys.readouterr().out)
         assert [r["name"] for r in data["records"]] == ["ratio"]
         assert data["records"][0]["tol"] == 1e-16
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+    def test_regulator_rejects_non_finite_alpha(self, alpha, capsys):
+        assert main(["regulator", f"--alpha={alpha}", "--json"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: alpha must be finite, got {float(alpha)!r}\n"
 
     def test_regulator_requires_cubic_family(self, capsys):
         code = main(["regulator", "--family", "Q", "--alpha", "5"])

@@ -256,6 +256,84 @@ class TestMahlerMeasures:
             assert mahler_quadratic_y(family_poly(FamilySpec(family, alpha))) >= -1e-12
 
 
+# ---------------------------------------------------------------------------
+# reference oracle: the panel search on np.roots, with a per-root angle loop
+# and the resultant always formed, kept here to check split_angles exactly
+# ---------------------------------------------------------------------------
+
+
+def _ref_roots(coeffs):
+    return np.roots(np.asarray(coeffs, dtype=float)[::-1])
+
+
+def _ref_unit_circle_angles(roots, band=mahler.ON_CIRCLE):
+    return [float(np.angle(r)) for r in roots
+            if abs(abs(r) - 1.0) < band and np.angle(r) > 0.0]
+
+
+def _ref_toric_resultant(p):
+    f = p.matrix.T[:p.y_degree + 1]
+    g = f[::-1, ::-1]
+
+    def det(i, j):
+        return np.convolve(f[i], g[j]) - np.convolve(g[i], f[j])
+
+    if p.y_degree == 1:
+        return det(1, 0)
+    if p.y_degree == 2:
+        return np.convolve(det(2, 0), det(2, 0)) - np.convolve(det(2, 1), det(1, 0))
+    return []
+
+
+def _ref_split_angles(p):
+    kinks = (_ref_unit_circle_angles(_ref_roots(p.rows[-1]))
+             + _ref_unit_circle_angles(_ref_roots(_ref_toric_resultant(p))))
+    if p.y_degree == 2:
+        c, b, a = p.matrix.T
+        kinks += _ref_unit_circle_angles(_ref_roots(np.convolve(b, b) - 4.0 * np.convolve(a, c)),
+                                         mahler.NEAR_CIRCLE)
+    pts = [0.0]
+    for t in sorted(kinks):
+        if t - pts[-1] > mahler.ON_CIRCLE and t < math.pi - mahler.ON_CIRCLE:
+            pts.append(t)
+    return pts + [math.pi]
+
+
+class TestPanelSearchOracle:
+    def test_roots_equal_np_roots(self):
+        rng = np.random.default_rng(28)
+        cases = [[], [0.0], [0.0, 0.0, 0.0], [2.0], [0.0, 0.0, 5.0, 0.0]]
+        cases += [[-1.0, 1.0], [1.0, 1.0], [1.0, 0.0, 1.0], [-1.0, 0.0, 0.0, 1.0]]  # on |x| = 1
+        for _ in range(3000):
+            c = rng.normal(size=rng.integers(1, 12)) * 10.0 ** rng.uniform(-5, 5)
+            c[rng.random(c.size) < 0.25] = 0.0  # leading, inner and trailing zeros
+            cases.append(c.tolist())
+        cases += [rng.normal(size=2).tolist() for _ in range(2000)]  # degree 1: -c0/c1
+        for c in cases:
+            got, want = mahler._roots(c), _ref_roots(c)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want), c
+            for band in (mahler.ON_CIRCLE, mahler.NEAR_CIRCLE):
+                assert mahler._unit_circle_angles(got, band) == _ref_unit_circle_angles(want, band)
+
+    def test_split_angles_equal_the_reference(self):
+        # all four families over [-20, 20] in steps of 0.25, which holds the
+        # boundary and singular members S 4, R 6, P 8, P -1 and Q 4
+        polys = [family_poly(FamilySpec(name, k / 4)) for name in "PSQR" for k in range(-80, 81)]
+        # y - x and y^2 - x^2 equal minus their reciprocals
+        polys += [BivariatePoly([[0, -1], [1]]), BivariatePoly([[0, 0, -1], [0], [1]])]
+        for p in polys:
+            assert mahler._toric_resultant(p) == []  # self-inversive: never formed
+            assert split_angles(p) == _ref_split_angles(p), p.rows
+        # (y - 1 - x)(y - 3) is not self-inversive: its kink at 2 pi / 3 comes
+        # from the resultant alone
+        p = BivariatePoly([[3, 3], [-4, -1], [1]])
+        assert np.any(mahler._toric_resultant(p))
+        assert split_angles(p) == _ref_split_angles(p)
+        assert any(abs(t - 2 * math.pi / 3) < 1e-12
+                   for t in mahler._unit_circle_angles(mahler._roots(mahler._toric_resultant(p))))
+
+
 class TestPathIntegral:
     @pytest.mark.parametrize("family,alpha", [
         ("P", 1.0), ("P", 3.0), ("S", 3.0), ("Q", 5.0), ("R", 7.0), ("P", -3.0), ("S", -3.0),

@@ -7,7 +7,7 @@ import cmath
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from regulab import numerics
 from regulab.numerics import (
@@ -218,6 +218,120 @@ class TestPanelRows:
     def test_rejects_malformed_rows(self, ends):
         with pytest.raises(DegenerateInputError):
             integrate_panel_rows(lambda x, row: x, ends)
+
+
+# ---------------------------------------------------------------------------
+# reference oracle: integrate_panel_rows as it was before single levels got
+# their own update, kept here to check the kernel bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _reference_panel_rows(f, ends, tol):
+    ends = np.asarray(ends, dtype=float)
+    if (ends.ndim != 3 or ends.shape[2] != 2 or not np.all(np.isfinite(ends))
+            or np.any(ends[..., 0] > ends[..., 1])):
+        raise DegenerateInputError(
+            f"need shape (rows, panels, 2) with finite panels a <= b, got {ends.tolist()!r}")
+    lo, hi = ends[..., :1], ends[..., 1:]
+    width = hi - lo
+    total = np.zeros(len(ends))
+    estimate = np.zeros(len(ends))
+    err = np.full(len(ends), math.inf)
+    evals = np.zeros(len(ends), dtype=int)
+    active = np.arange(len(ends))
+    for first, last in numerics._TS_GROUPS:
+        active = active[evals[active] <= tol.max_evaluations]
+        if not active.size:
+            break
+        nodes = numerics._ts_group(first, last)
+        a, b, w = lo[active], hi[active], width[active]
+        x = np.where(nodes.left, a, b) + w * nodes.step
+        inside = (a < x) & (x < b)  # else rounded onto an end; weighted term is ~1e-37
+        pos, _, node = np.nonzero(inside)  # ``pos`` indexes ``active``
+        fx = f(x[inside], active[pos])
+        # one bin per (row, level): each level's sum adds the same terms in
+        # the same order as a call for that level alone would
+        shape = (active.size, last - first + 1)
+        key = pos * shape[1] + nodes.level[node]
+        sums = np.bincount(key, (w * nodes.weight)[inside] * fx, math.prod(shape)).reshape(shape)
+        seen = evals[active, None] + np.cumsum(  # evaluations through each level
+            np.bincount(key, minlength=math.prod(shape)).reshape(shape), axis=1)
+        # total, estimate and error after each level, as one call per level leaves them
+        running = np.cumsum(np.concatenate([total[active, None], sums], axis=1), axis=1)[:, 1:]
+        est = nodes.h * running
+        diff = np.abs(est - np.concatenate([estimate[active, None], est[:, :-1]], axis=1))
+        if first == 0:
+            diff[:, 0] = math.inf  # level 0 alone has no error estimate
+        # a row stops at its first level that converges, or before a level
+        # that would start over the budget
+        stop = diff <= np.maximum(tol.absolute, tol.relative * np.abs(est)) * 0.1
+        stop[:, :-1] |= seen[:, :-1] > tol.max_evaluations
+        stopped = stop.any(axis=1)
+        row, j = np.arange(active.size), np.where(stopped, stop.argmax(axis=1), shape[1] - 1)
+        total[active], estimate[active], err[active] = running[row, j], est[row, j], diff[row, j]
+        evals[active] = seen[:, -1]  # every node of the group was evaluated
+        active = active[~stopped]
+    # rows left unconverged at the level cap or the budget pass up to tol
+    stalled = np.nonzero(~(err <= np.maximum(tol.absolute, tol.relative * np.abs(estimate))))[0]
+    results = [QuadratureResult(v, e, max(n, 1))
+               for v, e, n in zip(estimate.tolist(), err.tolist(), evals.tolist())]
+    if stalled.size:
+        i = stalled[0]
+        raise NoConvergenceError(
+            f"tanh-sinh quadrature stalled at error {err[i]:.3g}", results[i]
+        )
+    return results
+
+
+def _panel_rows_bits(kernel, f, ends, tol):
+    """Each row's (value, error, evaluations) bit for bit, or the stall and its best."""
+    def bits(results):
+        return [(r.value.hex(), r.error_estimate.hex(), r.evaluations) for r in results]
+
+    try:
+        return bits(kernel(f, ends, tol))
+    except NoConvergenceError as exc:
+        return str(exc), bits([exc.best])
+
+
+@st.composite
+def _panel(draw):
+    """(a, b): empty, one ulp wide or wide, with one end at an anchor that may be exactly 0."""
+    anchor = draw(st.one_of(st.just(0.0), st.floats(-3.0, 3.0)))
+    kind = draw(st.sampled_from(["empty", "ulp", "wide"]))
+    other = {"empty": anchor, "ulp": math.nextafter(anchor, math.inf),
+             "wide": anchor + draw(st.floats(0.01, 2.0))}[kind]
+    return (anchor, other) if draw(st.booleans()) else (2 * anchor - other, anchor)
+
+
+class TestPanelRowsOracle:
+    @given(data=st.data(), rows=st.integers(1, 6), panels=st.integers(1, 3),
+           absolute=st.floats(-13.0, -6.0).map(lambda e: 10.0**e),
+           relative=st.sampled_from([0.0, 1e-9]),
+           budget=st.one_of(st.just(200_000), st.integers(1, 2000)))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_reference_bit_for_bit(self, data, rows, panels, absolute, relative,
+                                              budget):
+        ends = np.array([[data.draw(_panel()) for _ in range(panels)] for _ in range(rows)])
+        # per row: log|x - s|, cos(k x), 1/sqrt(x - a) with a the row's lowest end, or 0
+        kind = np.array([data.draw(st.integers(0, 3)) for _ in range(rows)])
+        par = np.array([data.draw(st.floats(-3.0, 3.0)) for _ in range(rows)])
+        par = np.where(kind == 1, 10.0 * par, np.where(kind == 2, ends[..., 0].min(axis=1), par))
+
+        def f(x, row):
+            k, p = kind[row], par[row]
+            return np.select([k == 0, k == 1, k == 2],
+                             [np.log(np.abs(x - p)), np.cos(p * x), 1.0 / np.sqrt(x - p)], 0.0)
+
+        tol = Tolerance(absolute=absolute, relative=relative, max_evaluations=budget)
+        unfused = tuple((j, j) for j in range(_TS_LEVELS + 1))
+        with np.errstate(all="ignore"):
+            assert (_panel_rows_bits(integrate_panel_rows, f, ends, tol)
+                    == _panel_rows_bits(_reference_panel_rows, f, ends, tol))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(numerics, "_TS_GROUPS", unfused)
+                assert (_panel_rows_bits(integrate_panel_rows, f, ends, tol)
+                        == _panel_rows_bits(_reference_panel_rows, f, ends, tol))
 
 
 class TestQuadraticSolver:

@@ -9,7 +9,6 @@ from .numerics import (
     integrate_adaptive,
     integrate_endpoint_singular,
     integrate_panel_rows,
-    integrate_panels_singular,
     solve_quadratic_stable,
     solve_quadratic_stable_array,
 )

@@ -28,7 +28,7 @@ class IllConditionedLatticeError(ValueError):
 
 
 class UnresolvedPointError(KeyError):
-    pass
+    __str__ = Exception.__str__  # the message itself, not KeyError's repr of it
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ class InconsistentDataError(ValueError):
 
 
 class MissingPrimeError(KeyError):
-    pass
+    __str__ = Exception.__str__  # the message itself, not KeyError's repr of it
 
 
 @dataclass

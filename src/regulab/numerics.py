@@ -6,9 +6,11 @@ integrable inverse-square-root and logarithmic blow-up at the interval
 ends.  It runs many integrals (rows) of one vectorised integrand side
 by side, each over a sum of panels, and calls the integrand once on the
 nodes of refinement levels 0-3 together and then once per further
-level, for all rows still refining.  The other ``integrate_*`` names
-are one-row entries to it.  Each row gets a :class:`QuadratureResult`
-with an error estimate and an evaluation count.
+level, for all rows still refining.  A row stops at its tolerance or at
+the level cap.  ``integrate_adaptive`` (a vectorised integrand) and
+``integrate_endpoint_singular`` (a scalar one) are its one-row entries.
+Each row gets a :class:`QuadratureResult` with an error estimate and an
+evaluation count.
 
 Interior singularities are *not* handled here; callers split the domain
 at known bad points first.
@@ -30,17 +32,13 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Absolute/relative target accuracy plus an evaluation budget."""
+    """Absolute target accuracy; a quadrature row stops at it or at the level cap."""
 
     absolute: float = 1e-10
-    relative: float = 0.0
-    max_evaluations: int = 200_000
 
     def __post_init__(self):
         if not 0 < self.absolute < math.inf:  # false for NaN too
             raise ValueError("absolute tolerance must be finite and > 0")
-        if not 0 <= self.relative < math.inf:
-            raise ValueError("relative tolerance must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -55,7 +53,7 @@ class QuadratureResult:
 
 
 class NoConvergenceError(RuntimeError):
-    """Raised when an integrator exhausts its budget; carries the best estimate."""
+    """Raised when a quadrature row is above its tolerance at the level cap; carries its best."""
 
     def __init__(self, msg: str, best: QuadratureResult):
         super().__init__(msg)
@@ -74,10 +72,13 @@ def integrate_adaptive(
     f takes an array of abscissae and returns the integrand on it.  It is
     called once for levels 0-3 and then once per further level, so at most
     ``_TS_LEVELS - 2`` times, and never at a or b, where it may have
-    integrable singularities.
-    Stopping and error semantics are those of ``integrate_panel_rows``.
+    integrable singularities.  This is ``integrate_panel_rows`` on one row
+    of one panel: it stops at its first level within 0.1 * tol of the one
+    before, or raises NoConvergenceError if the level cap leaves it above tol.
     """
-    return integrate_panels_singular(f, [(a, b)], tol)
+    if not a < b:  # false for NaN too
+        raise DegenerateInputError(f"need a < b, got ({a!r}, {b!r})")
+    return integrate_panel_rows(lambda x, row: f(x), [[(a, b)]], tol)[0]
 
 
 def integrate_endpoint_singular(
@@ -138,46 +139,28 @@ def _ts_group(first: int, last: int) -> _NodeGroup:
     return group
 
 
-def integrate_panels_singular(
-    f: Callable[[np.ndarray], np.ndarray],
-    panels,
-    tol: Tolerance = Tolerance(),
-) -> QuadratureResult:
-    """Tanh-sinh integration of a vectorised f over the sum of several panels.
-
-    ``panels`` is a sequence of (a, b) pairs with a < b; f may have
-    integrable logarithmic or inverse-square-root singularities at any
-    panel end and is never evaluated there.  Each call of f takes one
-    array holding the new nodes of every panel: those of levels 0-3 in the
-    first call, of one further level in each later one.  Stopping and error
-    semantics are those of ``integrate_panel_rows``.
-    """
-    if not panels or not all(a < b for a, b in panels):
-        raise DegenerateInputError(f"need panels with a < b, got {panels!r}")
-    return integrate_panel_rows(lambda x, row: f(x), [panels], tol)[0]
-
-
 def integrate_panel_rows(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     ends,
     tol: Tolerance = Tolerance(),
 ) -> list[QuadratureResult]:
-    """One ``integrate_panels_singular`` per row of ``ends``, all run side by side.
+    """Tanh-sinh integration of many rows, each over a sum of panels, side by side.
 
     ``ends`` has shape (rows, panels, 2): row i integrates over the panels
     ``ends[i, k] = (a, b)`` with a <= b, where an empty panel (a == b)
-    adds nothing.  f is called as f(x, row) on the new nodes of every row
-    still refining, ``row[j]`` being the row of node ``x[j]``: the first
-    call holds the nodes of levels 0.._TS_FUSED, and each later call those
-    of one further level, up to ``_TS_LEVELS``.  Each level's sum is kept
-    apart, so a row stops, level by level, at its first level whose
-    estimate differs from the one before by at most 0.1 * tol: the level,
-    value and error estimate of the row integrated alone.
-    ``tol.max_evaluations`` is a budget per row checked before each level.
-    At the level cap or the budget a difference up to tol is accepted; a
-    row left above that stalls and raises NoConvergenceError carrying that
-    row's best estimate.  A row's evaluation count is that of the nodes
-    evaluated, which includes any levels of the first call past its stop.
+    adds nothing.  f may have integrable logarithmic or inverse-square-root
+    singularities at any panel end and is never evaluated there.  It is
+    called as f(x, row) on the new nodes of every row still refining,
+    ``row[j]`` being the row of node ``x[j]``: the first call holds the
+    nodes of levels 0.._TS_FUSED, and each later call those of one further
+    level, up to ``_TS_LEVELS``.  Each level of a call then updates its rows
+    in turn, so a row stops at its first level whose estimate differs from
+    the one before by at most 0.1 * tol: the level, value and error
+    estimate of the row integrated alone.  At the level cap a difference
+    up to tol is accepted; a row left above that stalls and raises
+    NoConvergenceError carrying that row's best estimate.  A row's
+    evaluation count is that of the nodes evaluated, which includes any
+    levels of the first call past its stop.
     """
     ends = np.asarray(ends, dtype=float)
     if (ends.ndim != 3 or ends.shape[2] != 2 or not np.isfinite(ends).all()
@@ -191,14 +174,7 @@ def integrate_panel_rows(
     err = np.full(len(ends), math.inf)
     evals = np.zeros(len(ends), dtype=int)
     active = np.arange(len(ends))
-
-    def bound(est):  # tol at est; a scalar if tol.relative is 0: a finite diff has a finite est
-        if not tol.relative:
-            return tol.absolute
-        return np.maximum(tol.absolute, tol.relative * np.abs(est))
-
     for first, last in _TS_GROUPS:
-        active = active[evals[active] <= tol.max_evaluations]
         if not active.size:
             break
         nodes = _ts_group(first, last)
@@ -206,40 +182,24 @@ def integrate_panel_rows(
         x = np.where(nodes.left, a, b) + w * nodes.step
         inside = (a < x) & (x < b)  # else rounded onto an end; weighted term is ~1e-37
         pos, _, node = inside.nonzero()  # ``pos`` indexes ``active``
-        fx = f(x[inside], active[pos])
-        terms = (w * nodes.weight)[inside] * fx
-        if first == last:  # one level: what the general case below leaves, without its tables
-            total[active] += np.bincount(pos, terms, active.size)
-            est = nodes.h[0] * total[active]
-            diff = np.abs(est - estimate[active]) if first else np.full(active.size, math.inf)
-            estimate[active], err[active] = est, diff
-            evals[active] += np.bincount(pos, minlength=active.size)
-            active = active[~(diff <= bound(est) * 0.1)]
-            continue
-        # one bin per (row, level): each level's sum adds the same terms in
-        # the same order as a call for that level alone would
-        shape = (active.size, last - first + 1)
-        key = pos * shape[1] + nodes.level[node]
-        sums = np.bincount(key, terms, math.prod(shape)).reshape(shape)
-        seen = evals[active, None] + np.cumsum(  # evaluations through each level
-            np.bincount(key, minlength=math.prod(shape)).reshape(shape), axis=1)
-        # total, estimate and error after each level, as one call per level leaves them
-        running = np.cumsum(np.concatenate([total[active, None], sums], axis=1), axis=1)[:, 1:]
-        est = nodes.h * running
-        diff = np.abs(est - np.concatenate([estimate[active, None], est[:, :-1]], axis=1))
-        if first == 0:
-            diff[:, 0] = math.inf  # level 0 alone has no error estimate
-        # a row stops at its first level that converges, or before a level
-        # that would start over the budget
-        stop = diff <= bound(est) * 0.1
-        stop[:, :-1] |= seen[:, :-1] > tol.max_evaluations
-        stopped = stop.any(axis=1)
-        row, j = np.arange(active.size), np.where(stopped, stop.argmax(axis=1), shape[1] - 1)
-        total[active], estimate[active], err[active] = running[row, j], est[row, j], diff[row, j]
-        evals[active] = seen[:, -1]  # every node of the group was evaluated
-        active = active[~stopped]
-    # rows left unconverged at the level cap or the budget pass up to tol
-    stalled = np.nonzero(~(err <= bound(estimate)))[0]
+        terms = (w * nodes.weight)[inside] * f(x[inside], active[pos])
+        evals[active] += np.bincount(pos, minlength=active.size)  # every node of the group
+        # one level at a time, each adding the same terms in the same order
+        # as a call for that level alone would
+        level = nodes.level[node]
+        live = np.ones(active.size, dtype=bool)
+        for j, h in enumerate(nodes.h):
+            at = level == j
+            rows = active[live]
+            total[rows] += np.bincount(pos[at], terms[at], active.size)[live]
+            est = h * total[rows]
+            # level 0 alone has no error estimate
+            diff = np.abs(est - estimate[rows]) if first + j else np.full(rows.size, math.inf)
+            estimate[rows], err[rows] = est, diff
+            live[live] = ~(diff <= 0.1 * tol.absolute)
+        active = active[live]
+    # rows left unconverged at the level cap pass up to tol
+    stalled = np.nonzero(~(err <= tol.absolute))[0]
     results = [QuadratureResult(v, e, max(n, 1))
                for v, e, n in zip(estimate.tolist(), err.tolist(), evals.tolist())]
     if stalled.size:

@@ -137,8 +137,8 @@ class TestMain:
         assert f"bad grid {grid!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("error,code,prefix", [
-        (NoConvergenceError("budget spent", QuadratureResult(0.5, 1e-3, 100)), 1,
-         "numeric failure:"),
+        (NoConvergenceError("tanh-sinh quadrature stalled at error 0.001",
+                            QuadratureResult(0.5, 1e-3, 100)), 1, "numeric failure:"),
         (UnresolvedPointError("no embedding"), 2, "error:"),
         (UnembeddablePointError("generator off curve"), 2, "error:"),
         (MissingPrimeError("a_p missing"), 2, "error:"),
@@ -149,7 +149,8 @@ class TestMain:
 
         monkeypatch.setattr(cli, "cmd_verify", raises)
         assert main(["verify", "diamonds"]) == code
-        assert capsys.readouterr().err.startswith(prefix)
+        # the message as raised: a KeyError's own str would quote it
+        assert capsys.readouterr().err == f"{prefix} {error.args[0]}\n"
 
     def test_unembeddable_point_message_has_no_quotes(self):
         assert str(UnembeddablePointError("generator P off curve")) == "generator P off curve"

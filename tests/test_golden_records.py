@@ -1,10 +1,10 @@
-"""Every campaign's default records against the committed golden file."""
+"""Every campaign's default records, and some commands', against the committed golden files."""
 
 import json
 
 import pytest
 
-from golden_records import differences, golden
+from golden_records import COMMANDS, differences, golden
 from regulab.cli import CAMPAIGNS, main
 
 
@@ -16,6 +16,12 @@ def test_the_golden_file_covers_every_campaign():
 def test_default_records_match(target, capsys):
     assert main(["verify", target, "--json"]) == 0
     assert differences(target, json.loads(capsys.readouterr().out)) == []
+
+
+@pytest.mark.parametrize("command", list(golden(COMMANDS)))
+def test_command_records_match(command, capsys):
+    assert main([*command.split(), "--json"]) == 0
+    assert differences(command, json.loads(capsys.readouterr().out)) == []
 
 
 def test_a_moved_value_a_verdict_and_a_missing_record_are_reported():

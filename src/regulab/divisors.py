@@ -17,6 +17,8 @@ differences of lines; only three functions of higher pole order and the
 stated long forms are written out term by term.  The catalog is the
 divisor calculus's only account of these functions: no numeric check of a
 claimed divisor runs here, and the tests tie each line to its equation.
+Each chain of ``CHAINS`` is a table of rows (name, lhs, rhs, modulo_self_inverse)
+built from the catalogs when replayed; a step holds when its ``left_over`` is empty.
 
 Numeric embeddings (coordinates, elliptic logarithms, Tate-curve
 points) are attached separately and only when a dilogarithm evaluation
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 from . import elliptic, families
 from .dilogarithm import elliptic_dilog_divisor
 from .elliptic import CurvePoint, WeierstrassCurve
-from .numerics import DegenerateInputError, Tolerance
+from .numerics import DegenerateInputError
 
 
 class MixedGroupError(ValueError):
@@ -104,20 +106,9 @@ class SymbolicPoint:
 
     @property
     def label(self) -> str:
-        if self.is_zero():
-            return "O"
-        parts = []
-        for c, name in zip(self.coeffs, self.group.generators):
-            if c == 0:
-                continue
-            if c == 1:
-                term = name
-            elif c == -1:
-                term = f"-{name}"
-            else:
-                term = f"{c}{name}"
-            parts.append(term if not parts or term.startswith("-") else f"+{term}")
-        return "".join(parts)
+        terms = [{1: name, -1: f"-{name}"}.get(c, f"{c}{name}")
+                 for c, name in zip(self.coeffs, self.group.generators) if c]
+        return "+".join(terms).replace("+-", "-") or "O"
 
     def __repr__(self):
         return f"<{self.label}>"
@@ -227,9 +218,10 @@ def canonicalize_minus(d: FormalDivisor) -> MinusDivisor:
 
     Inversion orbits {g, -g} keep only the lexicographically larger
     coefficient vector (sign flipped if the stored point was the other
-    one); self-inverse points keep their multiplicity mod 2.
+    one); self-inverse points keep their multiplicity mod 2.  A MinusDivisor,
+    made only by ``_minus``, is reduced already and comes back as it is.
     """
-    return _minus(d.group, d._terms.items())
+    return d if isinstance(d, MinusDivisor) else _minus(d.group, d._terms.items())
 
 
 def diamond(f_div: FormalDivisor, g_div: FormalDivisor) -> MinusDivisor:
@@ -397,12 +389,16 @@ class DerivationStep:
         return canonicalize_minus(self.lhs - self.rhs)
 
     @property
-    def passed(self) -> bool:
+    def left_over(self) -> MinusDivisor:
+        """The discrepancy, less self-inverse points where the step allows; empty if it holds."""
         if self.lhs == self.rhs:
-            return True
-        if self.modulo_self_inverse:
-            return strip_self_inverse(self.lhs) == strip_self_inverse(self.rhs)
-        return False
+            return MinusDivisor()
+        d = self.discrepancy
+        return strip_self_inverse(d) if self.modulo_self_inverse else d
+
+    @property
+    def passed(self) -> bool:
+        return not self.left_over
 
 
 @dataclass
@@ -415,91 +411,57 @@ class DerivationReport:
         return all(s.passed for s in self.steps)
 
     def first_failure(self):
-        for s in self.steps:
-            if not s.passed:
-                return s
-        return None
+        return next((s for s in self.steps if not s.passed), None)
 
 
-def _torsion_class(family: str, k: int) -> MinusDivisor:
-    """k(P) + k(2P) in Z[E]^-, where both ends of the S chain land."""
+def _torsion_class(family: str, k: int) -> FormalDivisor:
+    """k(P) + k(2P), where both ends of the S chain land."""
     P = GROUPS[family].point(P=1)
-    return canonicalize_minus(_div((k, P), (k, 2 * P)))
+    return _div((k, P), (k, 2 * P))
+
+
+def _s_chain() -> list:
+    """x dia y on P is -6(P)-6(2P); so is (x1) dia (y1) on S, modulo one Steinberg element."""
+    p, s = _catalog("P"), _catalog("S")
+    return [
+        ("x_diamond_y", diamond(p["x"], p["y"]), _torsion_class("P", -6), False),
+        ("a_diamond_b_equals_long_form", diamond(s["a"], s["b"]), s["minus_x1_diamond_y1"], True),
+        ("steinberg_expansion", diamond(s["steinberg_f"], s["steinberg_1mf"]),
+         s["steinberg_diamond_claimed"], True),
+        ("collapse_to_torsion_class", s["minus_x1_diamond_y1"] + s["steinberg_diamond_claimed"],
+         _torsion_class("S", 6), False),
+    ]
+
+
+def _qr_chain() -> list:
+    """The two quartic families' diamonds agree modulo one Steinberg element."""
+    q, r = _catalog("Q"), _catalog("R")
+    # difference of the two long forms is exactly the Steinberg element
+    diff = canonicalize_minus(r["minus_x3_diamond_y3"] - r["steinberg_diamond_claimed"])
+    return [
+        ("aQ_diamond_bQ", diamond(q["a"], q["b"]), q["minus_x2_diamond_y2"], True),
+        ("aR_diamond_bR", diamond(r["a"], r["b"]), r["minus_x3_diamond_y3"], True),
+        ("steinberg_expansion", diamond(r["steinberg_f"], r["steinberg_1mf"]),
+         r["steinberg_diamond_claimed"], True),
+        ("families_agree_mod_steinberg", map_r_to_q(diff), q["minus_x2_diamond_y2"], False),
+    ]
+
+
+# each chain's rows (name, lhs, rhs, modulo_self_inverse), built when called
+CHAINS = {"S": _s_chain, "QR": _qr_chain}
 
 
 def derive_equivalence(chain: str) -> DerivationReport:
-    """Replay a diamond-equivalence chain exactly.
+    """Replay a diamond-equivalence chain of ``CHAINS`` exactly.
 
-    chain "S": (x1) dia (y1) on the quartic family reduces, modulo one
-    Steinberg element, to the class -6(P)-6(2P) of the base family.
-    chain "QR": the two quartic families' diamonds agree modulo one
-    Steinberg element.
+    Each row's sides are reduced in Z[E]^-, and a step holds when its
+    ``left_over`` is empty.
     """
-    chain = chain.upper()
-    if chain == "S":
-        catp = family_divisor_catalog("P")
-        cat = family_divisor_catalog("S")
-        steps = []
-        # base family diamond
-        steps.append(DerivationStep("x_diamond_y", diamond(catp["x"], catp["y"]),
-                                    _torsion_class("P", -6)))
-        # -(x1) dia (y1) = (a) dia (b), stated long form
-        lhs_ab = diamond(cat["a"], cat["b"])
-        rhs_long = canonicalize_minus(cat["minus_x1_diamond_y1"])
-        steps.append(DerivationStep("a_diamond_b_equals_long_form", lhs_ab, rhs_long, modulo_self_inverse=True))
-        # Steinberg diamond matches its stated expansion
-        st = diamond(cat["steinberg_f"], cat["steinberg_1mf"])
-        st_claim = canonicalize_minus(cat["steinberg_diamond_claimed"])
-        steps.append(DerivationStep("steinberg_expansion", st, st_claim, modulo_self_inverse=True))
-        # long form + Steinberg element collapses to 6(P)+6(2P)
-        collapsed = canonicalize_minus(
-            cat["minus_x1_diamond_y1"] + cat["steinberg_diamond_claimed"]
-        )
-        steps.append(DerivationStep("collapse_to_torsion_class", collapsed,
-                                    _torsion_class("S", 6)))
-        return DerivationReport("S", steps)
-    if chain in ("QR", "Q/R", "Q"):
-        catq = family_divisor_catalog("Q")
-        catr = family_divisor_catalog("R")
-        steps = []
-        steps.append(
-            DerivationStep(
-                "aQ_diamond_bQ",
-                diamond(catq["a"], catq["b"]),
-                canonicalize_minus(catq["minus_x2_diamond_y2"]),
-                modulo_self_inverse=True,
-            )
-        )
-        steps.append(
-            DerivationStep(
-                "aR_diamond_bR",
-                diamond(catr["a"], catr["b"]),
-                canonicalize_minus(catr["minus_x3_diamond_y3"]),
-                modulo_self_inverse=True,
-            )
-        )
-        steps.append(
-            DerivationStep(
-                "steinberg_expansion",
-                diamond(catr["steinberg_f"], catr["steinberg_1mf"]),
-                canonicalize_minus(catr["steinberg_diamond_claimed"]),
-                modulo_self_inverse=True,
-            )
-        )
-        # difference of the two long forms is exactly the Steinberg element
-        diff = canonicalize_minus(
-            catr["minus_x3_diamond_y3"] - catr["steinberg_diamond_claimed"]
-        )
-        transported = canonicalize_minus(map_r_to_q(diff))
-        steps.append(
-            DerivationStep(
-                "families_agree_mod_steinberg",
-                transported,
-                canonicalize_minus(catq["minus_x2_diamond_y2"]),
-            )
-        )
-        return DerivationReport("QR", steps)
-    raise DegenerateInputError(f"unknown chain {chain!r}")
+    if chain not in CHAINS:
+        raise DegenerateInputError(f"unknown chain {chain!r}")
+    return DerivationReport(chain, [
+        DerivationStep(name, canonicalize_minus(lhs), canonicalize_minus(rhs), modulo)
+        for name, lhs, rhs, modulo in CHAINS[chain]()])
 
 
 # ---------------------------------------------------------------------------
@@ -550,8 +512,8 @@ class FamilyEmbedding:
     def qpoint(self, p: SymbolicPoint):
         return elliptic.u_to_qz(self.log(p), self.lattice)
 
-    def elliptic_dilog_of(self, d: FormalDivisor, tol_abs: float = 1e-12) -> float:
-        return elliptic_dilog_divisor(self.qpoint, d, Tolerance(absolute=tol_abs))
+    def elliptic_dilog_of(self, d: FormalDivisor) -> float:
+        return elliptic_dilog_divisor(self.qpoint, d)
 
 
 def family_embedding(family: str, param: float) -> FamilyEmbedding:

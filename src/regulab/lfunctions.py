@@ -277,31 +277,30 @@ def _half_sum(series: LSeries, s: float, cutoff: float, m: int) -> float:
     return float(np.dot(series._a[1:m + 1], _weights(series.conductor, s, cutoff, m)))
 
 
-def _half_sums(series: LSeries, s: float, m: int | None, cutoff: float,
-               tol: float = 1e-10) -> tuple:
-    """(F_t(s), F_{1/t}(2 - s)) of ``lambda_completed``, whatever the sign."""
+def _half_sums(series: LSeries, s: float, m: int | None, cutoff: float) -> tuple:
+    """(F_t(s), F_{1/t}(2 - s)) of ``lambda_completed``, whatever the sign, to a tail of 1e-10."""
     if m is None:
         m = series.bound
     if not 1 <= m <= series.bound:
         raise DegenerateInputError(f"m={m} is outside 1..{series.bound}, the coefficients held")
     tail = math.exp(-2.0 * math.pi * m * min(cutoff, 1.0 / cutoff)
                     / math.sqrt(series.conductor))
-    if tail > tol:
+    if tail > 1e-10:
         raise DegenerateInputError(
-            f"tail bound {tail:.2e} exceeds tol; increase the coefficient bound"
+            f"tail bound {tail:.2e} exceeds 1e-10; increase the coefficient bound"
         )
     return _half_sum(series, s, cutoff, m), _half_sum(series, 2.0 - s, 1.0 / cutoff, m)
 
 
 def lambda_completed(series: LSeries, s: float, m: int | None = None,
-                     cutoff: float = 1.0, tol: float = 1e-10) -> float:
+                     cutoff: float = 1.0) -> float:
     """Completed Lambda(s) = N^{s/2} (2 pi)^{-s} Gamma(s) L(E, s).
 
     Smoothed approximate functional equation:
     Lambda(s) = F_t(s) + eps F_{1/t}(2 - s) with the half-sums F as in
     _half_sum; independent of the cutoff t when eps is correct.
     """
-    f, g = _half_sums(series, s, m, cutoff, tol)
+    f, g = _half_sums(series, s, m, cutoff)
     return f + series.epsilon * g
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import regulab
-from regulab import cli
+from regulab import cli, divisors
 from regulab.cli import Record, Report, build_parser, main, parse_grid
 from regulab.dilogarithm import UnresolvedPointError
 from regulab.divisors import UnembeddablePointError
@@ -104,6 +104,23 @@ class TestMain:
         assert code == 0
         data = json.loads(capsys.readouterr().out)
         assert all(r["residual"] == 0.0 for r in data["records"])
+
+    @pytest.mark.parametrize("coeffs,mult,modulo,residual", [
+        ({"P": 1, "U": 1}, 2, False, 1.0),  # P+U is not self-inverse
+        ({"P": 3}, 1, True, 0.0),  # 3P is 2-torsion: dropped where the step allows it
+        ({"P": 3}, 1, False, 1.0),
+    ])
+    def test_verify_diamonds_counts_the_points_left_over(self, coeffs, mult, modulo, residual,
+                                                        monkeypatch, capsys):
+        group = divisors.GROUPS["S"]
+        rhs = divisors.FormalDivisor({group.point(P=1): 1, group.point(U=1): -2})
+        lhs = rhs + divisors.FormalDivisor({group.point(**coeffs): mult})
+        monkeypatch.setitem(divisors.CHAINS, "S", lambda: [("made_up", lhs, rhs, modulo)])
+        assert main(["verify", "diamonds", "--json"]) == (0 if residual == 0 else 1)
+        records = {r["name"]: r for r in json.loads(capsys.readouterr().out)["records"]}
+        assert records["S:made_up"]["residual"] == residual
+        assert records["S:made_up"]["pass"] is (residual == 0)
+        assert all(r["pass"] for name, r in records.items() if name.startswith("QR:"))
 
     def test_verify_with_grid(self, capsys):
         code = main(["verify", "bz1", "--grid", "1:2:1", "--json"])
@@ -199,6 +216,14 @@ class TestMain:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err == f"error: alpha must be finite, got {float(alpha)!r}\n"
+
+    @pytest.mark.parametrize("alpha", ["1e52", "-1e55", "1e200"])
+    def test_regulator_alpha_that_overflows_exits_two(self, alpha, capsys):
+        # float ** raises OverflowError on the curve's invariants instead of returning inf
+        assert main(["regulator", f"--alpha={alpha}", "--json"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: a parameter overflows double precision\n"
 
     def test_regulator_requires_cubic_family(self, capsys):
         code = main(["regulator", "--family", "Q", "--alpha", "5"])

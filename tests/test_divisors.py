@@ -24,7 +24,7 @@ from regulab.divisors import (
 )
 from regulab.elliptic import CurvePoint
 from regulab.families import FAMILIES
-from regulab.numerics import solve_quadratic_stable
+from regulab.numerics import DegenerateInputError, solve_quadratic_stable
 
 
 class TestPointGroup:
@@ -84,6 +84,11 @@ class TestFormalDivisor:
         assert canonicalize_minus(d).multiplicity(GROUPS["P"].point(P=3)) == 1
         assert not strip_self_inverse(d)
 
+    def test_a_minus_divisor_is_returned_as_it_is(self):
+        cat = family_divisor_catalog("S")
+        for m in (diamond(cat["a"], cat["b"]), canonicalize_minus(cat["minus_x1_diamond_y1"])):
+            assert canonicalize_minus(m) is m
+
 
 class TestDiamond:
     def test_antisymmetry(self):
@@ -132,6 +137,11 @@ class TestDerivationChains:
             FormalDivisor({GROUPS["P"].point(P=1): -6, GROUPS["P"].point(P=2): -6})
         )
         assert step.lhs == target
+
+    @pytest.mark.parametrize("chain", ["qr", "Q/R", "Q", ""])
+    def test_unknown_chain_is_rejected(self, chain):
+        with pytest.raises(DegenerateInputError, match="unknown chain"):
+            derive_equivalence(chain)
 
     def test_discrepancies_live_on_self_inverse_classes(self):
         for chain in ("S", "QR"):

@@ -7,12 +7,10 @@ from .numerics import (
     QuadratureResult,
     Tolerance,
     integrate_adaptive,
-    integrate_endpoint_singular,
     integrate_panel_rows,
-    solve_quadratic_stable,
     solve_quadratic_stable_array,
 )
-from .dilogarithm import QPoint, bloch_wigner, elliptic_dilog, elliptic_dilog_divisor, li2
+from .dilogarithm import QPoint, elliptic_dilog_divisor
 from .elliptic import (
     CurvePoint,
     PeriodLattice,
@@ -20,7 +18,6 @@ from .elliptic import (
     deuring_curve,
     elliptic_log,
     period_lattice,
-    q_point,
     quartic_twist_curve,
 )
 from .families import FAMILIES, Family, family
@@ -43,20 +40,11 @@ from .mahler import (
     mahler_quadratic_y,
     mahler_torus2,
 )
-from .periods import (
-    CycleIntegral,
-    change_of_variable_check,
-    cycle_integral,
-    cycle_vs_lattice,
-    verify_period_identity,
-)
+from .periods import change_of_variable_check, verify_period_identity
 from .lfunctions import (
     LSeries,
     TABLE_ONE,
     an_coefficients,
-    ap_bad,
-    ap_good,
-    epsilon_detect,
     l_prime_zero,
     lambda_completed,
     table_one_lseries,

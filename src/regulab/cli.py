@@ -293,23 +293,24 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _join_grid_values(argv: list) -> list:
-    """Rewrite ``--grid VALUE`` as ``--grid=VALUE``.
+def _join_values(argv: list) -> list:
+    """Rewrite ``--grid VALUE``, ``--alpha VALUE`` and ``--tol VALUE`` as ``--option=VALUE``.
 
-    argparse reads a separate value that starts with a minus sign, such as
-    -20:-1.5:0.5, as an option and reports that --grid has no argument.
+    argparse reads a separate value that starts with a minus sign and is
+    not a plain decimal, such as -20:-1.5:0.5 or -1e1, as an option and
+    reports that the option has no argument.
     """
     out = []
     for tok in argv:
-        if out and out[-1] == "--grid":
-            out[-1] = "--grid=" + tok
+        if out and out[-1] in ("--grid", "--alpha", "--tol"):
+            out[-1] += "=" + tok
         else:
             out.append(tok)
     return out
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(_join_grid_values(sys.argv[1:] if argv is None else argv))
+    args = build_parser().parse_args(_join_values(sys.argv[1:] if argv is None else argv))
     t0 = time.time()
     try:
         if args.tol is not None and not 0 < args.tol < math.inf:  # false for NaN too
@@ -319,7 +320,7 @@ def main(argv=None) -> int:
             UnresolvedPointError, UnembeddablePointError, MissingPrimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OverflowError:  # float ** of a huge parameter raises instead of giving inf
+    except OverflowError:  # float ** of a huge parameter, or an overflowing polynomial
         print("error: a parameter overflows double precision", file=sys.stderr)
         return 2
     except NoConvergenceError as exc:

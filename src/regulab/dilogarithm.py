@@ -2,13 +2,13 @@
 
 One array kernel evaluates Li2 on the closed unit disc: the reflection
 formula where |1 - z| <= 1/2, and everywhere else the Bernoulli series in
--log(1 - z), with a fixed number of terms.  Outside the disc, li2 uses the
-inversion formula and the Bloch-Wigner function D(1/z) = -D(z).  D is
-single-valued on the whole complex plane and vanishes on the real line;
-the elliptic dilogarithm averages D over a multiplicative lattice q^Z and
-extends Z-linearly to formal divisors, every point times every q-power of
-a divisor on one lattice in one array call.  The scalar li2, bloch_wigner
-and elliptic_dilog wrap the same kernel.
+-log(1 - z), with a fixed number of terms.  Outside the disc, the
+Bloch-Wigner function uses D(1/z) = -D(z).  D is single-valued on the
+whole complex plane and vanishes on the real line; the elliptic
+dilogarithm averages D over a multiplicative lattice q^Z and extends
+Z-linearly to formal divisors, every point times every q-power of a
+divisor on one lattice in one array call.  The scalar bloch_wigner and
+elliptic_dilog wrap the same kernel.
 """
 
 from __future__ import annotations
@@ -104,17 +104,6 @@ def _inverted(z: np.ndarray):
     return outside, np.where(outside, 1.0 / np.where(outside, z, 1.0), z)
 
 
-def li2(z: complex) -> complex:
-    """Principal-branch dilogarithm Li_2(z), cut along [1, oo)."""
-    z = np.asarray(complex(z))
-    outside, w = _inverted(z)
-    v = complex(_li2_disc(w))
-    if outside:  # inversion: Li2(z) = -Li2(1/z) - pi^2/6 - log(-z)^2 / 2
-        lg = np.log(-z)
-        v = complex(-v - _PI2_6 - 0.5 * lg * lg)
-    return v
-
-
 def _bloch_wigner(z: np.ndarray) -> np.ndarray:
     """D(z) elementwise; D(1/w) = -D(w) takes every argument into |w| <= 1."""
     outside, w = _inverted(z)
@@ -172,21 +161,19 @@ def elliptic_dilog(p: QPoint, tol: Tolerance = Tolerance(absolute=1e-12)) -> flo
     return float(_elliptic_dilogs(p.q, [p.z], tol.absolute)[0])
 
 
-def elliptic_dilog_divisor(embedding, divisor, tol: Tolerance = Tolerance(absolute=1e-12)) -> float:
-    """Linear extension of D^E to a formal divisor.
+def elliptic_dilog_divisor(embedding, divisor) -> float:
+    """Linear extension of D^E to a formal divisor, to 1e-12.
 
-    ``embedding`` maps each symbolic point of ``divisor`` to a QPoint
-    (a mapping, or a callable).  Well-defined on the inversion quotient
-    because D^E(-P) = -D^E(P).  Points on the same lattice q^Z are
-    summed in one array call.  ``tol`` bounds the whole sum: each point
-    gets tol / sum |m|.
+    ``embedding`` maps each symbolic point of ``divisor`` to a QPoint.
+    Well-defined on the inversion quotient because D^E(-P) = -D^E(P).
+    Points on the same lattice q^Z are summed in one array call.  The
+    1e-12 bounds the whole sum: each point gets 1e-12 / sum |m|.
     """
-    lookup = embedding if callable(embedding) else embedding.get
     items = list(divisor.items())
-    point_tol = tol.absolute / max(1, sum(abs(m) for _, m in items))
+    point_tol = 1e-12 / max(1, sum(abs(m) for _, m in items))
     by_q = {}  # q -> ([z], [multiplicity])
     for point, mult in items:
-        qp = lookup(point)
+        qp = embedding(point)
         if qp is None:
             raise UnresolvedPointError(f"no embedding for point {point}")
         zs, mults = by_q.setdefault(qp.q, ([], []))

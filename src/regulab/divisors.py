@@ -482,14 +482,13 @@ class FamilyEmbedding:
     curve: WeierstrassCurve
     lattice: elliptic.PeriodLattice
     generator_points: dict
-    generator_logs: dict = field(default_factory=dict)
+    generator_logs: dict = field(init=False)
 
     def __post_init__(self):
-        if not self.generator_logs:
-            self.generator_logs = {
-                name: elliptic.elliptic_log(self.curve, self.lattice, pt)
-                for name, pt in self.generator_points.items()
-            }
+        self.generator_logs = {
+            name: elliptic.elliptic_log(self.curve, self.lattice, pt)
+            for name, pt in self.generator_points.items()
+        }
 
     @property
     def group(self) -> PointGroup:

@@ -165,7 +165,6 @@ class PeriodLattice:
     tau: complex
     q: complex
     roots: tuple  # roots of 4x^3+b2 x^2+2 b4 x+b6, identity-component root first
-    rectangular: bool
 
     def __post_init__(self):
         if self.tau.imag <= 0:
@@ -224,7 +223,6 @@ def period_lattice(c: WeierstrassCurve) -> PeriodLattice:
         v = 2.0 * carlson_rf(0.0, e1 - e3, e2 - e3).real
         omega2 = complex(0.0, v)
         roots = (e1, e2, e3)
-        rectangular = True
     else:
         r = float(rts.real[real_mask][0])
         cplx = rts[~real_mask]
@@ -234,10 +232,9 @@ def period_lattice(c: WeierstrassCurve) -> PeriodLattice:
         v = 2.0 * carlson_rf(0.0, r2 - r, r3 - r).real
         omega2 = 0.5 * complex(omega1, v)
         roots = (r, r2, r3)
-        rectangular = False
     tau = omega2 / omega1
     q = cmath.exp(2j * math.pi * tau)
-    return PeriodLattice(complex(omega1), omega2, tau, q, roots, rectangular)
+    return PeriodLattice(complex(omega1), omega2, tau, q, roots)
 
 
 # ---------------------------------------------------------------------------
@@ -306,13 +303,8 @@ def elliptic_log(c: WeierstrassCurve, lat: PeriodLattice, p: CurvePoint) -> comp
     return _log_rf(lat, x, 2 * complex(p.y) + complex(c.a1) * x + complex(c.a3))
 
 
-def q_point(c: WeierstrassCurve, lat: PeriodLattice, p: CurvePoint):
-    """Image of P on the Tate curve C^x/q^Z: z = e^{2 pi i u/omega1}."""
-    return u_to_qz(elliptic_log(c, lat, p), lat)
-
-
 def u_to_qz(u: complex, lat: PeriodLattice):
-    """z = e^{2 pi i u / omega1} as a QPoint, for externally assembled u."""
+    """The image z = e^{2 pi i u / omega1} on the Tate curve C^x/q^Z of the point with log u."""
     return QPoint(lat.q, cmath.exp(2j * math.pi * complex(u) / lat.omega1))
 
 

@@ -44,9 +44,9 @@ class Family:
     where the quotient map is 2:1, so x may come back as 1/x).
     ``points(param)`` gives the points of ``generators`` in order, and
     ``orders`` the torsion relations (name, order) among them.
-    ``cycle(param)`` is (limits, value) of the real cycle integral of
-    ``integrand``; it raises UnsupportedRegimeError outside ``regimes``
-    (the regime for param > 0, then for param <= 0).
+    ``cycle(param)`` is (limits, value) of the real cycle integral, whose
+    integrand ``FAMILIES`` notes; it raises UnsupportedRegimeError outside
+    the family's regimes.
     """
 
     name: str
@@ -58,8 +58,6 @@ class Family:
     orders: tuple
     points: Callable
     cycle: Callable
-    integrand: str
-    regimes: tuple
 
 
 def family(name: str) -> Family:
@@ -273,18 +271,18 @@ FAMILIES = {f.name: f for f in (
     Family("P", lambda a: [[0, 1, 1], [1, 2 - a, 1], [1, 1]],
            _deuring, _p_to_curve, _p_from_curve,
            ("P",), (("P", 6),), lambda a: (CurvePoint(a, a),),
-           _p_cycle, "1/sqrt(t(1-t)((alpha-4t)^2-16t))", ("0<alpha<8", "alpha<-1")),
+           _p_cycle),  # 1/sqrt(t(1-t)((alpha-4t)^2-16t)) for 0<alpha<8 and alpha<-1
     Family("S", lambda a: [[0, 0, 0, 0, 1], [1, a, 2 * a, a, 1], [1]],
            _deuring, _s_to_curve, _s_from_curve,
            ("P", "U", "V"), (("P", 6),), _s_points,
-           _s_cycle, "1/sqrt((1-t)(2t+alpha-2)(2t^2+alpha*t+alpha))", ("0<alpha<8", "alpha<-1")),
+           _s_cycle),  # 1/sqrt((1-t)(2t+alpha-2)(2t^2+alpha*t+alpha)), the same regimes
     Family("Q", lambda a: [[0, 1, 1, 1], [0, a, a], [1, 1, 1]],
            _twist, _q_to_curve, _q_from_curve,
            ("P", "S", "T"), (("P", 2),), _q_points,
-           _q_cycle, "1/sqrt((1-t)(alpha^2*t-(4t-1)^2))", ("alpha>=4", "alpha>=4")),
+           _q_cycle),  # 1/sqrt((1-t)(alpha^2*t-(4t-1)^2)) for alpha>=4
     # R at beta lies on the quartic twist at alpha = beta - 2
     Family("R", lambda b: [[0, 0, 1, 1, 1], [1, b, 2 * b - 4, b, 1], [1, 1, 1]],
            lambda b: _twist(b - 2), _r_to_curve, _r_from_curve,
            ("P", "A", "S", "T"), (("P", 2), ("A", 2)), _r_points,
-           _r_cycle, "1/sqrt((1-t)((beta-4)+2t)(2t^2+(beta+2)t+(beta-2)))", ("beta>=6", "beta>=6")),
+           _r_cycle),  # 1/sqrt((1-t)((beta-4)+2t)(2t^2+(beta+2)t+(beta-2))) for beta>=6
 )}

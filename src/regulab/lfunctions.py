@@ -167,34 +167,6 @@ def _bad_kind(a: int, p: int) -> str:
     return kinds[a]
 
 
-def _require_prime(p) -> None:
-    is_int = isinstance(p, (int, np.integer))
-    if not (is_int and p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))):
-        raise DegenerateInputError(f"p={p} is not a prime")
-
-
-def ap_good(c: WeierstrassCurve, p: int) -> int:
-    """a_p = p + 1 - #E(F_p) at a prime of good reduction."""
-    _require_prime(p)
-    if int(c.discriminant()) % p == 0:
-        raise DegenerateInputError(f"p={p} divides the discriminant; use ap_bad")
-    return _hasse_checked(p - _affine_count(_int_coeffs(c), p), p)
-
-
-def ap_bad(c: WeierstrassCurve, p: int):
-    """(a_p, reduction type) at a prime dividing the discriminant.
-
-    The count of nonsingular points mod p is p - a_p, so counting affine
-    solutions and dropping the unique singular point decides the type:
-    a_p = 1 split multiplicative, -1 nonsplit, 0 additive.
-    """
-    _require_prime(p)
-    if int(c.discriminant()) % p != 0:
-        raise DegenerateInputError(f"p={p} is a good prime")
-    a = p - _affine_count(_int_coeffs(c), p)
-    return a, _bad_kind(a, p)
-
-
 def rescale_integral_model(c: WeierstrassCurve) -> WeierstrassCurve:
     """Strip non-minimal discriminant factors by u-rescaling (u in 6,3,2)."""
     for u in (6, 3, 2):
@@ -272,51 +244,46 @@ def _weights(conductor: int, s: float, cutoff: float, m: int) -> np.ndarray:
     return w
 
 
-def _half_sum(series: LSeries, s: float, cutoff: float, m: int) -> float:
-    """sum_{n<=m} a_n (sqrt(N)/(2 pi n))^s Gamma(s, 2 pi n t / sqrt(N))."""
-    return float(np.dot(series._a[1:m + 1], _weights(series.conductor, s, cutoff, m)))
+def _half_sum(series: LSeries, s: float, cutoff: float) -> float:
+    """sum_n a_n (sqrt(N)/(2 pi n))^s Gamma(s, 2 pi n t / sqrt(N)) over every a_n held."""
+    return float(np.dot(series._a[1:], _weights(series.conductor, s, cutoff, series.bound)))
 
 
-def _half_sums(series: LSeries, s: float, m: int | None, cutoff: float) -> tuple:
+def _half_sums(series: LSeries, s: float, cutoff: float) -> tuple:
     """(F_t(s), F_{1/t}(2 - s)) of ``lambda_completed``, whatever the sign, to a tail of 1e-10."""
-    if m is None:
-        m = series.bound
-    if not 1 <= m <= series.bound:
-        raise DegenerateInputError(f"m={m} is outside 1..{series.bound}, the coefficients held")
-    tail = math.exp(-2.0 * math.pi * m * min(cutoff, 1.0 / cutoff)
+    tail = math.exp(-2.0 * math.pi * series.bound * min(cutoff, 1.0 / cutoff)
                     / math.sqrt(series.conductor))
     if tail > 1e-10:
         raise DegenerateInputError(
             f"tail bound {tail:.2e} exceeds 1e-10; increase the coefficient bound"
         )
-    return _half_sum(series, s, cutoff, m), _half_sum(series, 2.0 - s, 1.0 / cutoff, m)
+    return _half_sum(series, s, cutoff), _half_sum(series, 2.0 - s, 1.0 / cutoff)
 
 
-def lambda_completed(series: LSeries, s: float, m: int | None = None,
-                     cutoff: float = 1.0) -> float:
+def lambda_completed(series: LSeries, s: float, cutoff: float = 1.0) -> float:
     """Completed Lambda(s) = N^{s/2} (2 pi)^{-s} Gamma(s) L(E, s).
 
     Smoothed approximate functional equation:
     Lambda(s) = F_t(s) + eps F_{1/t}(2 - s) with the half-sums F as in
     _half_sum; independent of the cutoff t when eps is correct.
     """
-    f, g = _half_sums(series, s, m, cutoff)
+    f, g = _half_sums(series, s, cutoff)
     return f + series.epsilon * g
 
 
-def epsilon_detect(conductor: int, coefficients: list, m: int | None = None) -> int:
+def epsilon_detect(conductor: int, coefficients: list) -> int:
     """Functional-equation sign by cutoff independence of the smoothed sum.
 
     For the true sign the approximate functional equation is independent
     of the splitting parameter; the wrong sign leaves an O(1) mismatch.
     """
-    return _sign(LSeries(conductor, 1, coefficients), m)
+    return _sign(LSeries(conductor, 1, coefficients))
 
 
-def _sign(series: LSeries, m: int | None) -> int:
+def _sign(series: LSeries) -> int:
     """``epsilon_detect`` on a series whatever its own sign."""
-    f1, g1 = _half_sums(series, 0.7, m, 1.0)
-    f2, g2 = _half_sums(series, 0.7, m, 1.35)
+    f1, g1 = _half_sums(series, 0.7, 1.0)
+    f2, g2 = _half_sums(series, 0.7, 1.35)
     best = {eps: abs((f1 + eps * g1) - (f2 + eps * g2)) for eps in (1, -1)}
     winner = min(best, key=best.get)
     if best[winner] > 1e-6:
@@ -366,5 +333,5 @@ def table_one_lseries(alpha: int, bound: int = 200,
     _, conductor = TABLE_ONE[alpha]
     apt = ap_table(deuring_curve(alpha), conductor, bound, overrides)
     series = LSeries(conductor, 1, an_coefficients(apt, bound))
-    series.epsilon = _sign(series, bound)
+    series.epsilon = _sign(series)
     return series

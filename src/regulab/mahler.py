@@ -131,8 +131,13 @@ def _jensen(lead, roots) -> float:
 
 
 def _roots(coeffs) -> np.ndarray:
-    """``np.roots`` of these ascending coefficients, from its companion matrix directly."""
+    """``np.roots`` of these ascending coefficients, from its companion matrix directly.
+
+    A coefficient that is not finite (B^2 - 4AC of a huge parameter) raises OverflowError.
+    """
     c = np.asarray(coeffs, dtype=float)
+    if not np.isfinite(c).all():
+        raise OverflowError("a polynomial coefficient overflows double precision")
     nonzero = c.nonzero()[0]
     if not nonzero.size:
         return np.array([])

@@ -1,4 +1,4 @@
-"""Cycle integrals of the four families and their transformation identities.
+"""The period identities between the families, and the substitutions behind them.
 
 Each family's real cycle integral is a complete elliptic integral of
 1/sqrt(quartic) between adjacent real roots, so it is one Carlson R_F in
@@ -18,25 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from . import families
-from .elliptic import complete_integral, period_lattice
+from .elliptic import complete_integral
 from .families import FAMILIES, UnsupportedRegimeError
 from .numerics import DegenerateInputError, Tolerance
 
 
 class MapDomainError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class CycleIntegral:
-    family: str
-    regime: str
-    integrand: str
-    limits: tuple
-    value: float
 
 
 @dataclass(frozen=True)
@@ -54,15 +43,6 @@ class ResidualReport:
     @property
     def passed(self) -> bool:
         return self.residual <= self.tol
-
-
-@dataclass(frozen=True)
-class RationalityReport:
-    family: str
-    param: float
-    ratio: float
-    nearest: Fraction
-    distance: float
 
 
 # ---------------------------------------------------------------------------
@@ -115,17 +95,6 @@ def _v_integral(alpha: float):
 # ---------------------------------------------------------------------------
 # public API
 # ---------------------------------------------------------------------------
-
-
-def cycle_integral(family: str, param: float) -> CycleIntegral:
-    """The family's real cycle integral at ``param``, exact to rounding."""
-    fam = families.family(family)
-    limits, value = fam.cycle(param)
-    regime = fam.regimes[0 if param > 0 else 1]
-    return CycleIntegral(fam.name, regime, fam.integrand, limits, value)
-
-
-IDENTITY_IDS = ("p-doubled-vs-s", "p-vs-s", "q-vs-r")
 
 
 def verify_period_identity(which: str, param: float,
@@ -194,20 +163,3 @@ def change_of_variable_check(map_id: str, param: float,
         rhs = abs(beta) / 4.0 * _k_integral(beta, "unit")
     return ResidualReport(map_id, param, lhs, rhs, tol.absolute)
 
-
-def cycle_vs_lattice(family: str, param: float) -> RationalityReport:
-    """Ratio of the cycle integral to the imaginary lattice period.
-
-    The ratio is observed, not asserted: the nearest rational with
-    denominator <= 4 is reported together with the distance to it.
-    """
-    ci = cycle_integral(family, param)
-    lat = period_lattice(FAMILIES[ci.family].curve(param))
-    if lat.rectangular:
-        imag_period = abs(lat.omega2.imag)
-    else:
-        imag_period = abs((2.0 * lat.omega2 - lat.omega1).imag)
-    ratio = ci.value / imag_period
-    nearest = Fraction(ratio).limit_denominator(4)
-    return RationalityReport(ci.family, param, ratio, nearest,
-                             abs(ratio - float(nearest)))

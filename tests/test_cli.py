@@ -225,6 +225,33 @@ class TestMain:
         assert out.out == ""
         assert out.err == "error: a parameter overflows double precision\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["--family", "P", "--alpha", "1e200"],
+        ["--family", "P", "--alpha", "1e200", "--method", "torus2"],
+        ["--family", "S", "--alpha", "1e160"],
+        ["--family", "Q", "--alpha", "1e155"],
+        ["--family", "R", "--alpha", "1e155"],
+    ])
+    def test_mahler_alpha_that_overflows_exits_two(self, argv, capsys):
+        # B^2 - 4AC is not finite, so no root of it can be found
+        assert main(["mahler", *argv, "--json"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: a parameter overflows double precision\n"
+
+    def test_negative_alpha_in_scientific_notation(self, capsys):
+        records = []
+        for argv in (["--alpha", "-1e1"], ["--alpha=-10"]):
+            assert main(["mahler", "--family", "P", *argv, "--json"]) == 0
+            records.append(json.loads(capsys.readouterr().out)["records"])
+        assert records[0] == records[1]
+
+    def test_negative_tol_in_scientific_notation_exits_two(self, capsys):
+        assert main(["regulator", "--alpha", "-2", "--tol", "-1e-3"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: --tol must be finite and > 0, got -0.001\n"
+
     def test_regulator_requires_cubic_family(self, capsys):
         code = main(["regulator", "--family", "Q", "--alpha", "5"])
         assert code == 2

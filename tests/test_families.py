@@ -10,26 +10,24 @@ import pytest
 
 from regulab.divisors import family_divisor_catalog, family_embedding
 from regulab.elliptic import O, elliptic_log, group_op, period_lattice
-from regulab.families import FAMILIES
+from regulab.families import FAMILIES, family
 from regulab.mahler import FamilySpec
 from regulab.numerics import DegenerateInputError
-from regulab.periods import cycle_integral, cycle_vs_lattice
 
-# a sampling interval for each regime string of the records, 0.3 or more
+# a sampling interval for each regime of each family's cycle, 0.3 or more
 # from every singular fibre (P, S: alpha = -1, 0, 8; Q: 0, +-3; R: beta = -1, 2, 5)
 REGIME_SAMPLES = {
-    "0<alpha<8": (0.3, 7.7),
-    "alpha<-1": (-20.0, -1.3),
-    "alpha>=4": (4.0, 20.0),
-    "beta>=6": (6.0, 20.0),
+    "P": ((0.3, 7.7), (-20.0, -1.3)),
+    "S": ((0.3, 7.7), (-20.0, -1.3)),
+    "Q": ((4.0, 20.0),),
+    "R": ((6.0, 20.0),),
 }
 PER_REGIME = 40
 
 
 def _params(fam):
     rng = random.Random(1)
-    return [rng.uniform(*REGIME_SAMPLES[r]) for r in dict.fromkeys(fam.regimes)
-            for _ in range(PER_REGIME)]
+    return [rng.uniform(*r) for r in REGIME_SAMPLES[fam.name] for _ in range(PER_REGIME)]
 
 
 def _relative_residual(c, pt) -> float:
@@ -131,8 +129,8 @@ ENTRY_POINTS = {
     "FamilySpec": FamilySpec,
     "family_embedding": family_embedding,
     "family_divisor_catalog": lambda name, param: family_divisor_catalog(name),
-    "cycle_integral": cycle_integral,
-    "cycle_vs_lattice": cycle_vs_lattice,
+    "cycle": lambda name, param: family(name).cycle(param),
+    "curve": lambda name, param: family(name).curve(param),
 }
 
 

@@ -18,8 +18,6 @@ from regulab.lfunctions import (
     _int_coeffs,
     _smallest_prime_factors,
     an_coefficients,
-    ap_bad,
-    ap_good,
     ap_table,
     epsilon_detect,
     l_prime_zero,
@@ -114,11 +112,8 @@ class TestPointCounts:
         # LMFDB 11.a2: a_p for p = 2..37, split multiplicative at 11
         c = WeierstrassCurve(0, -1, 1, -10, -20)
         expected = dict(zip(PRIMES_TO_61[:12], [-2, -1, 1, -2, 1, 4, -2, 0, -1, 0, 7, 3]))
-        for p, a in expected.items():
+        for p in expected:
             assert _affine_count(_int_coeffs(c), p) == _brute_affine_count(c, p), p
-            if p != 11:
-                assert ap_good(c, p) == a, p
-        assert ap_bad(c, 11) == (1, "split-multiplicative")
         apt = ap_table(c, 11, 37)
         assert apt.ap == expected
         assert apt.bad == {11: "split-multiplicative"}
@@ -144,8 +139,6 @@ class TestPointCounts:
     def test_hasse_violation_raises(self, monkeypatch):
         # an impossible count must raise in every mode, not only without -O
         monkeypatch.setattr(lfunctions, "_affine_count", lambda coeffs, p: 0)
-        with pytest.raises(InconsistentDataError, match="Hasse"):
-            ap_good(deuring_curve(1), 13)
         with pytest.raises(InconsistentDataError, match="a_5=5 violates the Hasse"):
             ap_table(WeierstrassCurve(0, -1, 1, -10, -20), 11, 10)  # 2, 3, 5 all good
 
@@ -177,21 +170,9 @@ class TestPointCounts:
                 else:
                     assert conductor % (p * p) != 0, (alpha, p)
 
-    def test_good_prime_refuses_bad_input(self):
-        c = deuring_curve(3)  # discriminant 27 * 16 * (-5)
-        with pytest.raises(Exception):
-            ap_good(c, 3)
-
-    @pytest.mark.parametrize("p", [9, 15, 1, 0, -5])
-    def test_non_prime_rejected(self, p):
-        c = deuring_curve(1)
-        for fn in (ap_good, ap_bad):
-            with pytest.raises(DegenerateInputError, match=f"p={p}"):
-                fn(c, p)
-
     def test_bad_prime_returns_unit_trace(self):
-        c = deuring_curve(1)  # conductor 14
-        a, kind = ap_bad(c, 7)
+        apt = ap_table(deuring_curve(1), 14, 7)  # conductor 14
+        a, kind = apt.ap[7], apt.bad[7]
         assert a in (-1, 0, 1)
         assert kind in ("split-multiplicative", "nonsplit-multiplicative", "additive")
 
@@ -279,16 +260,14 @@ class TestCompletedL:
                         ref += sign * an * weights[key] if n and an else 0
                 assert abs(l_prime_zero(series) - ref) < 1e-13 * abs(ref), alpha
 
-    @pytest.mark.parametrize("m", [0, -5])
-    def test_rejects_nonpositive_m(self, series14, m):
-        with pytest.raises(DegenerateInputError, match=f"m={m}"):
-            lambda_completed(series14, 0.0, m=m)
-        with pytest.raises(DegenerateInputError, match=f"m={m}"):
-            epsilon_detect(series14.conductor, series14.coefficients, m)
+    def test_too_short_a_series_fails_the_tail_check(self):
+        # conductor 36: exp(-2 pi 20 / (1.35 * 6)) ~ 2e-7 at the 1.35 cutoff of the sign test
+        with pytest.raises(DegenerateInputError, match="tail bound .* exceeds 1e-10"):
+            table_one_lseries(-4, bound=20)
 
     def test_truncation_stability(self, series14):
-        v1 = lambda_completed(series14, 0.0, m=200)
-        v2 = lambda_completed(series14, 0.0, m=400)
+        v1 = l_prime_zero(table_one_lseries(1, bound=200))
+        v2 = l_prime_zero(series14)  # bound 400
         assert abs(v1 - v2) < 1e-12
 
     def test_same_conductor_same_lseries(self):
@@ -319,8 +298,10 @@ class TestOverrides:
         assert parse_override_file(text) == {2: -1, 7: 1, 11: -2}
 
     def test_override_changes_table(self):
-        apt = ap_table(deuring_curve(1), 14, 50, overrides={13: ap_good(deuring_curve(1), 13)})
-        assert apt.ap[13] == ap_good(deuring_curve(1), 13)
+        counted = ap_table(deuring_curve(1), 14, 50)
+        apt = ap_table(deuring_curve(1), 14, 50, overrides={13: 4})
+        assert counted.ap[13] == -4
+        assert apt.ap == {**counted.ap, 13: 4}
 
 
 class TestCatalog:

@@ -12,15 +12,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from regulab import cli, numerics, periods
+from regulab.elliptic import period_lattice
+from regulab.families import FAMILIES, family
 from regulab.periods import (
-    IDENTITY_IDS,
     MAP_IDS,
     MapDomainError,
     ResidualReport,
     UnsupportedRegimeError,
     change_of_variable_check,
-    cycle_integral,
-    cycle_vs_lattice,
     verify_period_identity,
 )
 
@@ -132,11 +131,10 @@ class TestCycleIntegral:
          ("S", 0.01), ("S", 7.99), ("S", -1.001), ("S", -20.0), ("Q", 4.0), ("R", 6.0)],
     )
     def test_positive_finite(self, family, param):
-        ci = cycle_integral(family, param)
-        assert ci.value > 0.0
-        lo, hi = ci.limits
+        (lo, hi), value = FAMILIES[family].cycle(param)
+        assert value > 0.0
         assert lo < hi
-        _assert_matches_oracle(family, param, ci.value)
+        _assert_matches_oracle(family, param, value)
 
     @pytest.mark.parametrize(
         "kind,alpha",
@@ -170,11 +168,11 @@ class TestCycleIntegral:
     )
     def test_out_of_regime_raises(self, family, param):
         with pytest.raises(UnsupportedRegimeError):
-            cycle_integral(family, param)
+            FAMILIES[family].cycle(param)
 
     def test_unknown_family_raises(self):
-        with pytest.raises(Exception):
-            cycle_integral("Z", 1.0)
+        with pytest.raises(numerics.DegenerateInputError):
+            family("Z").cycle(1.0)
 
     def test_residual_equal_to_tol_passes(self):
         assert ResidualReport("x", 1.0, 1.0, 1.5, 0.5).passed
@@ -198,7 +196,10 @@ class TestIdentities:
         assert rep.passed, rep.residual
 
     def test_identity_ids_complete(self):
-        assert set(IDENTITY_IDS) == {"p-doubled-vs-s", "p-vs-s", "q-vs-r"}
+        # lemma32 and sec42 between them run every identity and every substitution
+        names = {r.name.split("@")[0] for target in ("lemma32", "sec42")
+                 for r in cli.CAMPAIGNS[target].records()}
+        assert names == {"p-doubled-vs-s", "p-vs-s", "q-vs-r", *MAP_IDS}
 
     def test_unknown_identity_rejected(self):
         with pytest.raises(Exception):
@@ -247,11 +248,18 @@ class TestLatticeComparison:
         ],
     )
     def test_ratio_is_small_rational(self, family, param, expect):
-        rep = cycle_vs_lattice(family, param)
-        assert rep.nearest == expect
-        assert abs(rep.ratio - float(expect)) < 1e-8
+        ratio = _cycle_over_lattice(family, param)
+        assert Fraction(ratio).limit_denominator(4) == expect
+        assert abs(ratio - float(expect)) < 1e-8
 
     def test_quartic_ratios_match_each_other(self):
-        q = cycle_vs_lattice("Q", 5.0)
-        r = cycle_vs_lattice("R", 7.0)
-        assert abs(q.ratio - r.ratio) < 1e-10
+        assert abs(_cycle_over_lattice("Q", 5.0) - _cycle_over_lattice("R", 7.0)) < 1e-10
+
+
+def _cycle_over_lattice(name, param):
+    """The family's cycle integral over the imaginary period of its curve's lattice."""
+    fam = family(name)
+    lat = period_lattice(fam.curve(param))
+    # omega2 is i v on a rectangular lattice and (omega1 + i v) / 2 on a rhombic one
+    v = lat.omega2.imag if lat.omega2.real == 0 else (2.0 * lat.omega2 - lat.omega1).imag
+    return fam.cycle(param)[1] / abs(v)

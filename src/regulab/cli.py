@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import __version__
-from .dilogarithm import UnresolvedPointError
 from .divisors import (
     CHAINS,
     UnembeddablePointError,
@@ -317,7 +316,7 @@ def main(argv=None) -> int:
             raise DegenerateInputError(f"--tol must be finite and > 0, got {args.tol}")
         report = globals()[f"cmd_{args.command}"](args)
     except (DegenerateInputError, ValueError, OSError,
-            UnresolvedPointError, UnembeddablePointError, MissingPrimeError) as exc:
+            UnembeddablePointError, MissingPrimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OverflowError:  # float ** of a huge parameter, or an overflowing polynomial

@@ -27,10 +27,6 @@ class IllConditionedLatticeError(ValueError):
     pass
 
 
-class UnresolvedPointError(KeyError):
-    __str__ = Exception.__str__  # the message itself, not KeyError's repr of it
-
-
 @dataclass(frozen=True)
 class QPoint:
     """Point z on the Tate curve C^x / q^Z with 0 < |q| < 1.
@@ -174,8 +170,6 @@ def elliptic_dilog_divisor(embedding, divisor) -> float:
     by_q = {}  # q -> ([z], [multiplicity])
     for point, mult in items:
         qp = embedding(point)
-        if qp is None:
-            raise UnresolvedPointError(f"no embedding for point {point}")
         zs, mults = by_q.setdefault(qp.q, ([], []))
         zs.append(qp.z)
         mults.append(mult)

@@ -330,6 +330,8 @@ def table_one_lseries(alpha: int, bound: int = 200,
     """L-series of the cubic-family curve for a proven-ratio parameter."""
     if alpha not in TABLE_ONE:
         raise DegenerateInputError(f"alpha={alpha} is not a catalogued parameter")
+    if bound < 1:
+        raise DegenerateInputError(f"bound={bound} holds no coefficient; it must be at least 1")
     _, conductor = TABLE_ONE[alpha]
     apt = ap_table(deuring_curve(alpha), conductor, bound, overrides)
     series = LSeries(conductor, 1, an_coefficients(apt, bound))

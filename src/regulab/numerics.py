@@ -6,7 +6,9 @@ integrable inverse-square-root and logarithmic blow-up at the interval
 ends.  It runs many integrals (rows) of one vectorised integrand side
 by side, each over a sum of panels, and calls the integrand once on the
 nodes of refinement levels 0-3 together and then once per further
-level, for all rows still refining.  A row stops at its tolerance or at
+level, for each block of rows still refining.  A block holds at most
+``_TS_BLOCK_NODES`` node slots (or one row), so the working set stays
+bounded however many rows a call has.  A row stops at its tolerance or at
 the level cap.  ``integrate_adaptive`` (a vectorised integrand) and
 ``integrate_endpoint_singular`` (a scalar one) are its one-row entries.
 Each row gets a :class:`QuadratureResult` with an error estimate and an
@@ -99,6 +101,12 @@ _TS_LEVELS = 12  # refinements after the h = 1 trapezoid
 # level is one call.
 _TS_FUSED = 3
 _TS_GROUPS = ((0, _TS_FUSED),) + tuple((j, j) for j in range(_TS_FUSED + 1, _TS_LEVELS + 1))
+# Rows are independent, so each group evaluates its rows still refining in
+# blocks of at most this many node slots (rows x panels x group nodes; one
+# row at least), one integrand call per block.  That bounds every array of
+# a call to 128 KB of floats; a torus2 inner call near a singular fibre
+# would otherwise pass some 30,000 nodes at once.
+_TS_BLOCK_NODES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -150,25 +158,27 @@ def integrate_panel_rows(
     ``ends[i, k] = (a, b)`` with a <= b, where an empty panel (a == b)
     adds nothing.  f may have integrable logarithmic or inverse-square-root
     singularities at any panel end and is never evaluated there.  It is
-    called as f(x, row) on the new nodes of every row still refining,
-    ``row[j]`` being the row of node ``x[j]``: the first call holds the
-    nodes of levels 0.._TS_FUSED, and each later call those of one further
-    level, up to ``_TS_LEVELS``.  Each level of a call then updates its rows
-    in turn, so a row stops at its first level whose estimate differs from
-    the one before by at most 0.1 * tol: the level, value and error
-    estimate of the row integrated alone.  At the level cap a difference
-    up to tol is accepted; a row left above that stalls and raises
-    NoConvergenceError carrying that row's best estimate.  A row's
-    evaluation count is that of the nodes evaluated, which includes any
-    levels of the first call past its stop.
+    called as f(x, row) on the new nodes of the rows still refining,
+    ``row[j]`` being the row of node ``x[j]``: once per level group for
+    each block of rows still refining, the first group holding levels
+    0.._TS_FUSED and each later one a single further level, up to
+    ``_TS_LEVELS``.  A block holds at most ``_TS_BLOCK_NODES`` node slots
+    (rows x panels x group nodes), or one row where a row alone has more,
+    so f never sees more than max(_TS_BLOCK_NODES, panels x group nodes)
+    nodes.  Rows are independent, so the blocks change no result.  Each
+    level of a call then updates its rows in turn, so a row stops at its
+    first level whose estimate differs from the one before by at most
+    0.1 * tol: the level, value and error estimate of the row integrated
+    alone.  At the level cap a difference up to tol is accepted; a row
+    left above that stalls and raises NoConvergenceError carrying that
+    row's best estimate.  A row's evaluation count is that of the nodes
+    evaluated, which includes any levels of the first call past its stop.
     """
     ends = np.asarray(ends, dtype=float)
     if (ends.ndim != 3 or ends.shape[2] != 2 or not np.isfinite(ends).all()
             or (ends[..., 0] > ends[..., 1]).any()):
         raise DegenerateInputError(
             f"need shape (rows, panels, 2) with finite panels a <= b, got {ends.tolist()!r}")
-    lo, hi = ends[..., :1], ends[..., 1:]
-    width = hi - lo
     total = np.zeros(len(ends))
     estimate = np.zeros(len(ends))
     err = np.full(len(ends), math.inf)
@@ -178,26 +188,13 @@ def integrate_panel_rows(
         if not active.size:
             break
         nodes = _ts_group(first, last)
-        a, b, w = lo[active], hi[active], width[active]
-        x = np.where(nodes.left, a, b) + w * nodes.step
-        inside = (a < x) & (x < b)  # else rounded onto an end; weighted term is ~1e-37
-        pos, _, node = inside.nonzero()  # ``pos`` indexes ``active``
-        terms = (w * nodes.weight)[inside] * f(x[inside], active[pos])
-        evals[active] += np.bincount(pos, minlength=active.size)  # every node of the group
-        # one level at a time, each adding the same terms in the same order
-        # as a call for that level alone would
-        level = nodes.level[node]
-        live = np.ones(active.size, dtype=bool)
-        for j, h in enumerate(nodes.h):
-            at = level == j
-            rows = active[live]
-            total[rows] += np.bincount(pos[at], terms[at], active.size)[live]
-            est = h * total[rows]
-            # level 0 alone has no error estimate
-            diff = np.abs(est - estimate[rows]) if first + j else np.full(rows.size, math.inf)
-            estimate[rows], err[rows] = est, diff
-            live[live] = ~(diff <= 0.1 * tol.absolute)
-        active = active[live]
+        block = max(1, _TS_BLOCK_NODES // (ends.shape[1] * nodes.step.size))  # rows per call
+        state = (ends, nodes, first, tol, total, estimate, err, evals)
+        if active.size <= block:
+            active = _refine(f, active, *state)
+        else:
+            active = np.concatenate([_refine(f, active[i:i + block], *state)
+                                     for i in range(0, active.size, block)])
     # rows left unconverged at the level cap pass up to tol
     stalled = np.nonzero(~(err <= tol.absolute))[0]
     results = [QuadratureResult(v, e, max(n, 1))
@@ -208,6 +205,36 @@ def integrate_panel_rows(
             f"tanh-sinh quadrature stalled at error {err[i]:.3g}", results[i]
         )
     return results
+
+
+def _refine(f, active, ends, nodes, first, tol, total, estimate, err, evals):
+    """Refine the rows ``active`` by the level group ``nodes``, whose first level is ``first``.
+
+    One call of f on the group's new nodes, then one update per level of
+    those rows of total, estimate, err and evals, in place.  Returns the
+    rows still refining after the group's last level.
+    """
+    a, b = ends[active, :, :1], ends[active, :, 1:]
+    w = b - a
+    x = np.where(nodes.left, a, b) + w * nodes.step
+    inside = (a < x) & (x < b)  # else rounded onto an end; weighted term is ~1e-37
+    pos, _, node = inside.nonzero()  # ``pos`` indexes ``active``
+    terms = (w * nodes.weight)[inside] * f(x[inside], active[pos])
+    evals[active] += np.bincount(pos, minlength=active.size)  # every node of the group
+    # one level at a time, each adding the same terms in the same order
+    # as a call for that level alone would
+    level = nodes.level[node]
+    live = np.ones(active.size, dtype=bool)
+    for j, h in enumerate(nodes.h):
+        at = level == j
+        rows = active[live]
+        total[rows] += np.bincount(pos[at], terms[at], active.size)[live]
+        est = h * total[rows]
+        # level 0 alone has no error estimate
+        diff = np.abs(est - estimate[rows]) if first + j else np.full(rows.size, math.inf)
+        estimate[rows], err[rows] = est, diff
+        live[live] = ~(diff <= 0.1 * tol.absolute)
+    return active[live]
 
 
 def solve_quadratic_stable(a: complex, b: complex, c: complex) -> tuple[complex, complex]:

@@ -13,7 +13,6 @@ import pytest
 import regulab
 from regulab import cli, divisors
 from regulab.cli import Record, Report, build_parser, main, parse_grid
-from regulab.dilogarithm import UnresolvedPointError
 from regulab.divisors import UnembeddablePointError
 from regulab.lfunctions import MissingPrimeError
 from regulab.numerics import DegenerateInputError, NoConvergenceError, QuadratureResult
@@ -156,7 +155,6 @@ class TestMain:
     @pytest.mark.parametrize("error,code,prefix", [
         (NoConvergenceError("tanh-sinh quadrature stalled at error 0.001",
                             QuadratureResult(0.5, 1e-3, 100)), 1, "numeric failure:"),
-        (UnresolvedPointError("no embedding"), 2, "error:"),
         (UnembeddablePointError("generator off curve"), 2, "error:"),
         (MissingPrimeError("a_p missing"), 2, "error:"),
     ])

@@ -265,6 +265,11 @@ class TestCompletedL:
         with pytest.raises(DegenerateInputError, match="tail bound .* exceeds 1e-10"):
             table_one_lseries(-4, bound=20)
 
+    @pytest.mark.parametrize("bound", [0, -3])
+    def test_a_bound_below_one_is_rejected_by_name(self, bound):
+        with pytest.raises(DegenerateInputError, match=f"bound={bound} "):
+            table_one_lseries(1, bound=bound)
+
     def test_truncation_stability(self, series14):
         v1 = l_prime_zero(table_one_lseries(1, bound=200))
         v2 = l_prime_zero(series14)  # bound 400

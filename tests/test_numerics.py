@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from regulab import numerics
+from regulab import mahler, numerics
+from regulab.mahler import FamilySpec, family_poly, mahler_torus2
 from regulab.numerics import (
     _TS_LEVELS,
     DegenerateInputError,
@@ -329,6 +330,42 @@ class TestPanelRowsOracle:
                 mp.setattr(numerics, "_TS_GROUPS", unfused)
                 assert (_panel_rows_bits(integrate_panel_rows, f, ends, tol)
                         == _panel_rows_bits(_reference_panel_rows, f, ends, old_tol))
+
+    @given(data=st.data(), rows=st.integers(1, 6), panels=st.integers(1, 3),
+           absolute=st.floats(-13.0, -6.0).map(lambda e: 10.0**e))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_reference_when_every_group_splits_into_blocks(
+        self, data, rows, panels, absolute
+    ):
+        # 64 node slots are fewer than one panel of one row holds in any group,
+        # so each integrand call takes a single row
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numerics, "_TS_BLOCK_NODES", 64)
+            self.test_equals_the_reference_bit_for_bit.hypothesis.inner_test(
+                self, data, rows, panels, absolute)
+
+    def test_no_integrand_call_exceeds_a_block(self, monkeypatch):
+        # torus2 of P at 3 with its phi panel ends rotated by 1e-3 leaves a log
+        # singularity inside a panel: every inner row refines to the level cap
+        place = mahler._phi_panel_rows
+        monkeypatch.setattr(mahler, "_phi_panel_rows",
+                            lambda roots: place(roots * cmath.exp(1e-3j)))
+        calls = []
+
+        def kernel(f, ends, tol):
+            def spy(x, row):
+                calls.append((x.size, np.unique(row).size))
+                return f(x, row)
+
+            return integrate_panel_rows(spy, ends, tol)
+
+        monkeypatch.setattr(mahler, "integrate_panel_rows", kernel)
+        with pytest.raises(NoConvergenceError):
+            mahler_torus2(family_poly(FamilySpec("P", 3.0)), Tolerance(absolute=1e-5))
+        # a call over the limit holds one row: at most panels x group nodes
+        assert all(size <= numerics._TS_BLOCK_NODES or rows == 1 for size, rows in calls)
+        assert max(size for size, _ in calls) > numerics._TS_BLOCK_NODES  # the one-row case
+        assert len(calls) > len(numerics._TS_GROUPS)  # some group took several calls
 
 
 class TestQuadraticSolver:

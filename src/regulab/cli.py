@@ -5,11 +5,15 @@ Subcommands: ``mahler`` (one measure), ``verify`` (a named campaign from
 for one parameter).  Each campaign row holds its record functions with
 their default parameters, its default tolerance and the verify options it
 takes; an option a campaign does not take exits 2, and an explicit --tol
-replaces the row's tolerance.  Reports are printed as a human table by
-default; --json emits the fixed machine-readable schema and --csv a flat
-record table.  Exit code 0 means every record passed, 1 a failed or
-non-converging check, 2 invalid input, such as a --tol that is not finite
-and positive or a parameter so large that the arithmetic overflows.
+replaces the row's tolerance.  Every check returns Records (name, lhs, rhs,
+residual, tol).  Reports are printed as a human table by default; --json
+emits the fixed machine-readable schema and --csv a flat record table.
+Exit code 0 means every record passed, 1 a failed check or a quadrature
+that did not converge (NoConvergenceError), 2 invalid input
+(DegenerateInputError), such as a --tol that is not finite and positive,
+a parameter outside what the library computes, or one so large that the
+arithmetic overflows.  A reader that closes the output early, as
+``| head`` does, changes no exit code.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -28,7 +33,6 @@ from typing import NamedTuple
 from . import __version__
 from .divisors import (
     CHAINS,
-    UnembeddablePointError,
     derive_equivalence,
     diamond,
     family_divisor_catalog,
@@ -37,29 +41,15 @@ from .divisors import (
 from .families import FAMILIES
 from .lfunctions import (
     TABLE_ONE,
-    MissingPrimeError,
     l_prime_zero,
     parse_override_file,
     table_one_lseries,
 )
 from .mahler import FamilySpec, family_poly, mahler_quadratic_y, mahler_torus2
-from .numerics import DegenerateInputError, NoConvergenceError, Tolerance
+from .numerics import DegenerateInputError, NoConvergenceError, Record, Tolerance
 from .periods import MAP_IDS, change_of_variable_check, verify_period_identity
 
 TWO_PI = 2.0 * math.pi
-
-
-@dataclass
-class Record:
-    name: str
-    lhs: float
-    rhs: float
-    residual: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.residual <= self.tol
 
 
 @dataclass
@@ -172,9 +162,8 @@ def _bz2(alpha, tol):
 
 
 def _residual(check, which, alpha, tol):
-    """A period identity or a substitution: ``check(which, alpha, tol)``."""
-    r = check(which, alpha, Tolerance(absolute=tol))
-    return [Record(f"{which}@{alpha:g}", r.lhs, r.rhs, r.residual, tol)]
+    """A period identity or a substitution: ``check(which, alpha, tol)``, one Record."""
+    return [check(which, alpha, Tolerance(absolute=tol))]
 
 
 def _table1(alpha, tol, overrides=None):
@@ -315,8 +304,7 @@ def main(argv=None) -> int:
         if args.tol is not None and not 0 < args.tol < math.inf:  # false for NaN too
             raise DegenerateInputError(f"--tol must be finite and > 0, got {args.tol}")
         report = globals()[f"cmd_{args.command}"](args)
-    except (DegenerateInputError, ValueError, OSError,
-            UnembeddablePointError, MissingPrimeError) as exc:
+    except (ValueError, OSError) as exc:  # DegenerateInputError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OverflowError:  # float ** of a huge parameter, or an overflowing polynomial
@@ -326,12 +314,17 @@ def main(argv=None) -> int:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
     report.seconds = round(time.time() - t0, 3)
-    if args.json:
-        print(report.to_json())
-    elif args.csv:
-        print(report.to_csv(), end="")
-    else:
-        print(report.to_table())
+    try:
+        if args.json:
+            print(report.to_json())
+        elif args.csv:
+            print(report.to_csv(), end="")
+        else:
+            print(report.to_table())
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader stopped early, as ``| head`` does
+        # the flush at exit would fail again: what is left goes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if report.passed else 1
 
 

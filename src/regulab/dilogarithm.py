@@ -18,13 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Tolerance
+from .numerics import DegenerateInputError, Tolerance
 
 _PI2_6 = math.pi * math.pi / 6.0
-
-
-class IllConditionedLatticeError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -40,9 +36,9 @@ class QPoint:
     def __post_init__(self):
         aq = abs(self.q)
         if not 0 < aq < 1:
-            raise ValueError(f"need 0 < |q| < 1, got |q|={aq}")
+            raise DegenerateInputError(f"need 0 < |q| < 1, got |q|={aq}")
         if self.z == 0:
-            raise ValueError("z must be nonzero")
+            raise DegenerateInputError("z must be nonzero")
         z = self.z
         az = abs(z)
         if not aq < az <= 1:
@@ -146,7 +142,7 @@ def _elliptic_dilogs(q: complex, zs, tol: float) -> np.ndarray:
     """D^E(z) = sum_n D(q^n z) for each z of ``zs``, all q-powers in one array."""
     aq = abs(q)
     if aq >= 1 - 1e-12:
-        raise IllConditionedLatticeError(f"|q|={aq} too close to 1")
+        raise DegenerateInputError(f"|q|={aq} too close to 1")
     n_tail = _tail_terms(aq, tol)
     powers = q ** np.arange(-n_tail, n_tail + 1)
     return _bloch_wigner(np.multiply.outer(np.asarray(zs, dtype=complex), powers)).sum(axis=1)

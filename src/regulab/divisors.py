@@ -36,14 +36,6 @@ from .elliptic import CurvePoint, WeierstrassCurve
 from .numerics import DegenerateInputError
 
 
-class MixedGroupError(ValueError):
-    pass
-
-
-class UnembeddablePointError(KeyError):
-    __str__ = Exception.__str__  # the message itself, not KeyError's repr of it
-
-
 @dataclass(frozen=True)
 class PointGroup:
     """Free abelian group on named generators, with finite-order relations."""
@@ -55,9 +47,9 @@ class PointGroup:
         names = set(self.generators)
         for g, n in self.orders:
             if g not in names:
-                raise ValueError(f"relation names unknown generator {g!r}")
+                raise DegenerateInputError(f"relation names unknown generator {g!r}")
             if n <= 0:
-                raise ValueError("orders must be positive")
+                raise DegenerateInputError("orders must be positive")
 
     @functools.cached_property
     def moduli(self) -> tuple:  # each generator's order, 0 for a free one
@@ -101,9 +93,6 @@ class SymbolicPoint:
     def __rmul__(self, k: int):
         return SymbolicPoint(self.group, tuple(k * c for c in self.coeffs))
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     @property
     def label(self) -> str:
         terms = [{1: name, -1: f"-{name}"}.get(c, f"{c}{name}")
@@ -117,7 +106,7 @@ class SymbolicPoint:
 def _same_group(a, b):
     """The operands' common group (an empty divisor takes the other's)."""
     if a and b and a.group != b.group:
-        raise MixedGroupError("operands over different point groups")
+        raise DegenerateInputError("operands over different point groups")
     return a.group if a else b.group
 
 
@@ -150,13 +139,6 @@ class FormalDivisor:
 
     def items(self) -> list:
         return [(SymbolicPoint(self.group, c), m) for c, m in self._terms.items()]
-
-    def multiplicity(self, p: SymbolicPoint) -> int:
-        return self._terms.get(p.coeffs, 0) if self.group == p.group else 0
-
-    @property
-    def degree(self) -> int:
-        return sum(self._terms.values())
 
     def __add__(self, other):
         group = _same_group(self, other)
@@ -356,7 +338,7 @@ def map_r_to_q(d: FormalDivisor) -> FormalDivisor:
     for p, m in d.items():
         coeffs = dict(zip(p.group.generators, p.coeffs))
         if coeffs.pop("A", 0) % 2 != 0:
-            raise MixedGroupError(f"term {p.label} involves the extra 2-torsion point")
+            raise DegenerateInputError(f"term {p.label} involves the extra 2-torsion point")
         out.append((GROUPS["Q"].point(**coeffs), m))
     return FormalDivisor(out)
 
@@ -403,15 +385,11 @@ class DerivationStep:
 
 @dataclass
 class DerivationReport:
-    chain: str
     steps: list
 
     @property
     def passed(self) -> bool:
         return all(s.passed for s in self.steps)
-
-    def first_failure(self):
-        return next((s for s in self.steps if not s.passed), None)
 
 
 def _torsion_class(family: str, k: int) -> FormalDivisor:
@@ -459,7 +437,7 @@ def derive_equivalence(chain: str) -> DerivationReport:
     """
     if chain not in CHAINS:
         raise DegenerateInputError(f"unknown chain {chain!r}")
-    return DerivationReport(chain, [
+    return DerivationReport([
         DerivationStep(name, canonicalize_minus(lhs), canonicalize_minus(rhs), modulo)
         for name, lhs, rhs, modulo in CHAINS[chain]()])
 
@@ -478,7 +456,6 @@ class FamilyEmbedding:
     """
 
     family: str
-    param: float
     curve: WeierstrassCurve
     lattice: elliptic.PeriodLattice
     generator_points: dict
@@ -522,6 +499,6 @@ def family_embedding(family: str, param: float) -> FamilyEmbedding:
     gens = dict(zip(fam.generators, fam.points(a)))
     for name, pt in gens.items():
         if not curve.contains(pt, tol=1e-8):
-            raise UnembeddablePointError(f"generator {name} off curve at param {param}")
+            raise DegenerateInputError(f"generator {name} off curve at param {param}")
     lat = elliptic.period_lattice(curve)
-    return FamilyEmbedding(fam.name, a, curve, lat, gens)
+    return FamilyEmbedding(fam.name, curve, lat, gens)

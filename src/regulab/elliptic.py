@@ -23,18 +23,6 @@ from .dilogarithm import QPoint
 from .numerics import DegenerateInputError, carlson_rf
 
 
-class SingularModelError(ValueError):
-    pass
-
-
-class OffCurveError(ValueError):
-    pass
-
-
-class DegenerateFamilyError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class WeierstrassCurve:
     """y^2 + a1*x*y + a3*y = x^3 + a2*x^2 + a4*x + a6, with nonzero discriminant."""
@@ -47,7 +35,7 @@ class WeierstrassCurve:
 
     def __post_init__(self):
         if self.discriminant() == 0:
-            raise SingularModelError("discriminant is zero: singular model")
+            raise DegenerateInputError("discriminant is zero: singular model")
 
     # standard b/c invariants
     def b_invariants(self):
@@ -62,11 +50,6 @@ class WeierstrassCurve:
         b2, b4, b6, b8 = self.b_invariants()
         return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
 
-    def j_invariant(self):
-        b2, b4, b6, b8 = self.b_invariants()
-        c4 = b2 * b2 - 24 * b4
-        return c4**3 / self.discriminant()
-
     def rhs(self, x):
         return x**3 + self.a2 * x * x + self.a4 * x + self.a6
 
@@ -74,12 +57,17 @@ class WeierstrassCurve:
         return y * y + self.a1 * x * y + self.a3 * y - self.rhs(x)
 
     def contains(self, p: "CurvePoint", tol: float = 1e-10) -> bool:
+        """Exact on exact coordinates.  Otherwise the residual must be within tol
+        of 1 + the equation's largest term at the point, the size of its rounding
+        error; the 1 covers coordinates formed as differences of terms of order 1."""
         if p.infinity:
             return True
         r = self.residual(p.x, p.y)
         if isinstance(r, Fraction) or isinstance(r, int):
             return r == 0
-        scale = 1.0 + max(abs(complex(p.x)), abs(complex(p.y))) ** 3
+        x, y = abs(complex(p.x)), abs(complex(p.y))
+        scale = 1.0 + max(y * y, abs(self.a1) * x * y, abs(self.a3) * y, x**3,
+                          abs(self.a2) * x * x, abs(self.a4) * x, abs(self.a6))
         return abs(complex(r)) < tol * scale
 
 
@@ -118,7 +106,7 @@ def negate(c: WeierstrassCurve, p: CurvePoint) -> CurvePoint:
 def group_op(c: WeierstrassCurve, p: CurvePoint, q: CurvePoint) -> CurvePoint:
     """Chord-tangent addition on the long model; exact on exact inputs."""
     if not (c.contains(p) and c.contains(q)):
-        raise OffCurveError("input point not on curve")
+        raise DegenerateInputError("input point not on curve")
     if p.infinity:
         return q
     if q.infinity:
@@ -168,9 +156,9 @@ class PeriodLattice:
 
     def __post_init__(self):
         if self.tau.imag <= 0:
-            raise ValueError("tau must lie in the upper half plane")
+            raise DegenerateInputError("tau must lie in the upper half plane")
         if not abs(self.q) < 1:
-            raise ValueError("|q| must be < 1")
+            raise DegenerateInputError("|q| must be < 1")
 
 
 def complete_integral(factors, y: float, x: float) -> float:
@@ -298,7 +286,7 @@ def elliptic_log(c: WeierstrassCurve, lat: PeriodLattice, p: CurvePoint) -> comp
     if p.infinity:
         return 0.0 + 0.0j
     if not c.contains(p):
-        raise OffCurveError("point not on curve")
+        raise DegenerateInputError("point not on curve")
     x = complex(p.x)
     return _log_rf(lat, x, 2 * complex(p.y) + complex(c.a1) * x + complex(c.a3))
 

@@ -20,16 +20,11 @@ from typing import Callable
 
 from .elliptic import (
     CurvePoint,
-    DegenerateFamilyError,
     complete_integral,
     deuring_curve,
     quartic_twist_curve,
 )
 from .numerics import DegenerateInputError
-
-
-class UnsupportedRegimeError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -38,14 +33,14 @@ class Family:
 
     ``rows(param)`` lists the ascending x-coefficients of y^0, y^1 and y^2.
     ``curve(param)`` is the Weierstrass target and raises
-    DegenerateFamilyError at a singular member.  ``to_curve(param, x, y)``
+    DegenerateInputError at a singular member.  ``to_curve(param, x, y)``
     maps an affine zero of the polynomial to a point of the curve, and
     ``from_curve(param, pt)`` inverts it (fixing one square-root branch
     where the quotient map is 2:1, so x may come back as 1/x).
     ``points(param)`` gives the points of ``generators`` in order, and
     ``orders`` the torsion relations (name, order) among them.
     ``cycle(param)`` is (limits, value) of the real cycle integral, whose
-    integrand ``FAMILIES`` notes; it raises UnsupportedRegimeError outside
+    integrand ``FAMILIES`` notes; it raises DegenerateInputError outside
     the family's regimes.
     """
 
@@ -75,13 +70,13 @@ def family(name: str) -> Family:
 
 def _deuring(alpha):
     if alpha * (alpha + 1) * (alpha - 8) == 0:
-        raise DegenerateFamilyError(f"singular member at alpha={alpha}")
+        raise DegenerateInputError(f"singular member at alpha={alpha}")
     return deuring_curve(alpha)
 
 
 def _twist(alpha):
     if alpha * (alpha * alpha - 9) == 0:
-        raise DegenerateFamilyError(f"singular quartic twist at alpha={alpha}")
+        raise DegenerateInputError(f"singular quartic twist at alpha={alpha}")
     return quartic_twist_curve(alpha)
 
 
@@ -194,10 +189,17 @@ def _q_points(a):
 
 
 def _r_points(b):
-    disc = b**4 - 8 * b**3 + 40 * b * b - 96 * b + 80
+    # A's X is the root (-lin + sqrt(disc))/2 of X^2 + lin X - 16 (b-5)(b+1);
+    # where lin > 0 the two terms cancel, so it is the product over the other root
+    lin = b * b - 4 * b - 20
+    disc = b**4 - 8 * b**3 + 40 * b * b - 96 * b + 80  # (b-2)^2 (b^2-4b+20)
+    if lin <= 0:
+        x_a = (-lin + cmath.sqrt(complex(disc))) / 2
+    else:
+        x_a = 32 * (b - 5) * (b + 1) / (lin + cmath.sqrt(complex(disc)))
     return (
         CurvePoint(0.0, 0.0),
-        CurvePoint((-(b * b - 4 * b - 20) + cmath.sqrt(complex(disc))) / 2, 0.0),
+        CurvePoint(x_a, 0.0),
         CurvePoint(4 * (b + 1), 4 * (b - 2) * (b + 1)),
         CurvePoint(-4 * (b - 5) * (b + 1) / 3,
                    4j * (b - 5) * (b - 2) * (b + 1) / (3 * math.sqrt(3))),
@@ -224,7 +226,7 @@ def _p_cycle(alpha: float):
         r = complex((alpha + 2.0) / 4.0, math.sqrt(-1.0 - alpha) / 2.0)
         factors = ((0.0, 1.0), (1.0, -1.0), (-16.0 * r, 16.0), (-r.conjugate(), 1.0))
         return (0.0, 1.0), complete_integral(factors, 0.0, 1.0)
-    raise UnsupportedRegimeError(f"family P undefined at alpha={alpha}")
+    raise DegenerateInputError(f"family P undefined at alpha={alpha}")
 
 
 def _s_cycle(alpha: float):
@@ -240,12 +242,12 @@ def _s_cycle(alpha: float):
         gap = -4.0 * (alpha + 1.0) / (alpha + 4.0 + disc)  # r_hi - 1
         factors = ((0.0, 1.0), (-alpha, 2.0), (2.0 * gap, 2.0), (1.0 - r_lo, -1.0))
         return (r_lo, 1.0), complete_integral(factors, 0.0, 1.0 - r_lo)
-    raise UnsupportedRegimeError(f"family S undefined at alpha={alpha}")
+    raise DegenerateInputError(f"family S undefined at alpha={alpha}")
 
 
 def _q_cycle(alpha: float):
     if not alpha >= 4.0:
-        raise UnsupportedRegimeError(f"family Q undefined at alpha={alpha}")
+        raise DegenerateInputError(f"family Q undefined at alpha={alpha}")
     # alpha^2 t - (4t-1)^2 = 16 (t - t_lo)(t_hi - t), t_lo t_hi = 1/16
     t_hi = (8.0 + alpha * alpha + alpha * math.sqrt(alpha * alpha + 16.0)) / 32.0
     t_lo = 1.0 / (16.0 * t_hi)
@@ -255,7 +257,7 @@ def _q_cycle(alpha: float):
 
 def _r_cycle(beta: float):
     if not beta >= 6.0:
-        raise UnsupportedRegimeError(f"family R undefined at beta={beta}")
+        raise DegenerateInputError(f"family R undefined at beta={beta}")
     # the quadratic is 2 (t - s0)(t - s_m), s0 s_m = (beta - 2)/2
     s_m = -(beta + 2.0 + math.sqrt(beta * beta - 4.0 * beta + 20.0)) / 4.0
     s0 = (beta - 2.0) / (2.0 * s_m)

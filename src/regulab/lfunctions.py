@@ -30,18 +30,6 @@ from .elliptic import WeierstrassCurve, deuring_curve
 from .numerics import DegenerateInputError, upper_gamma
 
 
-class NeedsOverrideError(ValueError):
-    """A bad-prime coefficient could not be derived from the model."""
-
-
-class InconsistentDataError(ValueError):
-    """An a_p breaks the Hasse bound, or neither functional-equation sign fits."""
-
-
-class MissingPrimeError(KeyError):
-    __str__ = Exception.__str__  # the message itself, not KeyError's repr of it
-
-
 @dataclass
 class APTable:
     curve: WeierstrassCurve
@@ -52,9 +40,9 @@ class APTable:
         for p, a in self.ap.items():
             if p in self.bad:
                 if a not in (-1, 0, 1):
-                    raise ValueError(f"bad-prime a_{p}={a} outside {{1,-1,0}}")
+                    raise DegenerateInputError(f"bad-prime a_{p}={a} outside {{1,-1,0}}")
             elif a * a > 4 * p:
-                raise ValueError(f"a_{p}={a} violates the Hasse bound")
+                raise DegenerateInputError(f"a_{p}={a} violates the Hasse bound")
 
 
 @dataclass
@@ -65,11 +53,11 @@ class LSeries:
 
     def __post_init__(self):
         if self.conductor <= 0:
-            raise ValueError("conductor must be positive")
+            raise DegenerateInputError("conductor must be positive")
         if self.epsilon not in (-1, 1):
-            raise ValueError("sign must be +-1")
+            raise DegenerateInputError("sign must be +-1")
         if self.coefficients[1] != 1:
-            raise ValueError("a_1 must be 1")
+            raise DegenerateInputError("a_1 must be 1")
         self._a = np.array(self.coefficients, dtype=float)  # for _half_sum, made once
 
     @property
@@ -153,14 +141,14 @@ def _affine_count(coeffs, p):
 
 def _hasse_checked(a: int, p: int) -> int:
     if a * a > 4 * p:
-        raise InconsistentDataError(f"a_{p}={a} violates the Hasse bound")
+        raise DegenerateInputError(f"a_{p}={a} violates the Hasse bound")
     return a
 
 
 def _bad_kind(a: int, p: int) -> str:
     kinds = {1: "split-multiplicative", -1: "nonsplit-multiplicative", 0: "additive"}
     if a not in kinds:
-        raise NeedsOverrideError(
+        raise DegenerateInputError(
             f"nonsingular count at p={p} gives a_p={a}; the model is likely "
             "non-minimal there - supply an override"
         )
@@ -195,7 +183,7 @@ def ap_table(c: WeierstrassCurve, conductor: int, bound: int,
             kind = _bad_kind(a, p)
             expected_additive = conductor % (p * p) == 0
             if expected_additive != (kind == "additive"):
-                raise NeedsOverrideError(
+                raise DegenerateInputError(
                     f"reduction type at p={p} ({kind}) contradicts the "
                     f"conductor {conductor}; supply an override"
                 )
@@ -225,7 +213,7 @@ def an_coefficients(apt: APTable, bound: int) -> list:
             a[n] = a[power[n]] * a[n // power[n]]
         elif q == 1:
             if p not in apt.ap:
-                raise MissingPrimeError(f"a_p missing for p={p}")
+                raise DegenerateInputError(f"a_p missing for p={p}")
             a[n] = apt.ap[p]
         elif p in apt.bad:
             a[n] = a[p] * a[q]
@@ -287,7 +275,7 @@ def _sign(series: LSeries) -> int:
     best = {eps: abs((f1 + eps * g1) - (f2 + eps * g2)) for eps in (1, -1)}
     winner = min(best, key=best.get)
     if best[winner] > 1e-6:
-        raise InconsistentDataError(
+        raise DegenerateInputError(
             f"no sign fits the functional equation (residuals {best}); "
             "some coefficient is wrong"
         )

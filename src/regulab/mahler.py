@@ -314,10 +314,6 @@ def mahler_torus2(p: BivariatePoly, tol: Tolerance = Tolerance(absolute=1e-5)) -
 # ---------------------------------------------------------------------------
 
 
-class SingularPathError(ValueError):
-    pass
-
-
 def eta_path_integral(x_of_t, y_of_t, partition,
                       tol: Tolerance = Tolerance(absolute=1e-9)) -> float:
     """Numeric line integral of eta along t -> (x(t), y(t)).
@@ -344,7 +340,7 @@ def _eta_rows(x_of_t, y_of_t, ends: np.ndarray, tol: Tolerance) -> float:
         x, y = x_of_t(t), y_of_t(t)
         zero = (x == 0) | (y == 0)
         if zero.any():
-            raise SingularPathError(f"path hits a zero of x or y at t={t[zero][0]}")
+            raise DegenerateInputError(f"path hits a zero of x or y at t={t[zero][0]}")
         h = step[row]
         dx = (x_of_t(t + h) - x_of_t(t - h)) / (2.0 * h)
         dy = (y_of_t(t + h) - y_of_t(t - h)) / (2.0 * h)

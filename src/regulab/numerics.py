@@ -18,7 +18,10 @@ Interior singularities are *not* handled here; callers split the domain
 at known bad points first.
 
 So are regulab's two special functions, ``carlson_rf`` (elliptic logs,
-periods, cycle integrals) and ``upper_gamma`` (the L-series weights).
+periods, cycle integrals) and ``upper_gamma`` (the L-series weights), and
+what every module shares: the one error type per nonzero exit code of the
+CLI (``DegenerateInputError``, exit 2; ``NoConvergenceError``, exit 1) and
+the ``Record`` of one checked identity.
 """
 
 from __future__ import annotations
@@ -32,6 +35,10 @@ from typing import Callable
 import numpy as np
 
 
+class DegenerateInputError(ValueError):
+    """Input outside what the library computes; the CLI exits 2 on it."""
+
+
 @dataclass(frozen=True)
 class Tolerance:
     """Absolute target accuracy; a quadrature row stops at it or at the level cap."""
@@ -40,7 +47,22 @@ class Tolerance:
 
     def __post_init__(self):
         if not 0 < self.absolute < math.inf:  # false for NaN too
-            raise ValueError("absolute tolerance must be finite and > 0")
+            raise DegenerateInputError("absolute tolerance must be finite and > 0")
+
+
+@dataclass
+class Record:
+    """One checked identity: its two sides, their residual and the tolerance that judges it."""
+
+    name: str
+    lhs: float
+    rhs: float
+    residual: float
+    tol: float
+
+    @property
+    def passed(self) -> bool:
+        return self.residual <= self.tol
 
 
 @dataclass(frozen=True)
@@ -51,19 +73,15 @@ class QuadratureResult:
 
     def __post_init__(self):
         if self.error_estimate < 0 or self.evaluations <= 0:
-            raise ValueError("malformed quadrature result")
+            raise DegenerateInputError("malformed quadrature result")
 
 
 class NoConvergenceError(RuntimeError):
-    """Raised when a quadrature row is above its tolerance at the level cap; carries its best."""
+    """A quadrature row above its tolerance at the level cap, with its best; the CLI exits 1."""
 
     def __init__(self, msg: str, best: QuadratureResult):
         super().__init__(msg)
         self.best = best
-
-
-class DegenerateInputError(ValueError):
-    pass
 
 
 def integrate_adaptive(

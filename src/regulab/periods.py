@@ -11,38 +11,18 @@ S-side integral to the P-side one (a shift/scale, a Mobius involution,
 two reciprocal shifts, a degree-2 isogeny, a parameter rescaling); every
 map is checked by evaluating both definite integrals, each over its own
 quartic.  The Q and R integrals are compared directly by the ``q-vs-r``
-identity.
+identity.  Both checks return the CLI's own ``Record``, named
+``<identity or map>@<parameter>``, so a campaign row is the check itself;
+a parameter outside an identity's regime raises DegenerateInputError.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .elliptic import complete_integral
-from .families import FAMILIES, UnsupportedRegimeError
-from .numerics import DegenerateInputError, Tolerance
-
-
-class MapDomainError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class ResidualReport:
-    name: str
-    param: float
-    lhs: float
-    rhs: float
-    tol: float
-
-    @property
-    def residual(self) -> float:
-        return abs(self.lhs - self.rhs)
-
-    @property
-    def passed(self) -> bool:
-        return self.residual <= self.tol
+from .families import FAMILIES
+from .numerics import DegenerateInputError, Record, Tolerance
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +78,7 @@ def _v_integral(alpha: float):
 
 
 def verify_period_identity(which: str, param: float,
-                           tol: Tolerance = Tolerance(absolute=1e-8)) -> ResidualReport:
+                           tol: Tolerance = Tolerance(absolute=1e-8)) -> Record:
     """Check one of the three cycle-integral equalities between families.
 
     'p-doubled-vs-s': 2 * P-cycle = S-cycle for 0 < alpha < 8;
@@ -107,12 +87,12 @@ def verify_period_identity(which: str, param: float,
     """
     if which == "p-doubled-vs-s":
         if not 0.0 < param < 8.0:
-            raise UnsupportedRegimeError("needs 0 < alpha < 8")
+            raise DegenerateInputError("needs 0 < alpha < 8")
         lhs = 2.0 * FAMILIES["P"].cycle(param)[1]
         rhs = FAMILIES["S"].cycle(param)[1]
     elif which == "p-vs-s":
         if not param < -1.0:
-            raise UnsupportedRegimeError("needs alpha < -1")
+            raise DegenerateInputError("needs alpha < -1")
         lhs = FAMILIES["P"].cycle(param)[1]
         rhs = FAMILIES["S"].cycle(param)[1]
     elif which == "q-vs-r":
@@ -120,7 +100,7 @@ def verify_period_identity(which: str, param: float,
         rhs = FAMILIES["R"].cycle(param + 2.0)[1]
     else:
         raise DegenerateInputError(f"unknown identity {which!r}")
-    return ResidualReport(which, param, lhs, rhs, tol.absolute)
+    return Record(f"{which}@{param:g}", lhs, rhs, abs(lhs - rhs), tol.absolute)
 
 
 MAP_IDS = (
@@ -134,13 +114,13 @@ MAP_IDS = (
 
 
 def change_of_variable_check(map_id: str, param: float,
-                             tol: Tolerance = Tolerance(absolute=1e-8)) -> ResidualReport:
+                             tol: Tolerance = Tolerance(absolute=1e-8)) -> Record:
     """Recompute both sides of one substitution identity independently."""
     a = param
     if map_id not in MAP_IDS:
         raise DegenerateInputError(f"unknown map {map_id!r}")
     if map_id != "shift-scale" and not a < -1.0:
-        raise MapDomainError(f"{map_id} needs alpha < -1")
+        raise DegenerateInputError(f"{map_id} needs alpha < -1")
     if map_id == "shift-scale":
         # maps the S-cycle to the symmetric quartic in s
         lhs = FAMILIES["S"].cycle(a)[1]  # raises outside 0 < alpha < 8 and alpha < -1
@@ -161,5 +141,5 @@ def change_of_variable_check(map_id: str, param: float,
         beta = -8.0 / a
         lhs = FAMILIES["P"].cycle(a)[1]
         rhs = abs(beta) / 4.0 * _k_integral(beta, "unit")
-    return ResidualReport(map_id, param, lhs, rhs, tol.absolute)
+    return Record(f"{map_id}@{param:g}", lhs, rhs, abs(lhs - rhs), tol.absolute)
 

@@ -88,9 +88,10 @@ def test_ac5_regulator_ratio_constant():
 
 
 def test_ac6_exact_divisor_derivations():
-    reports = [derive_equivalence("S"), derive_equivalence("QR")]
-    ok = all(r.passed for r in reports)
-    failed = [f"{r.chain}:{r.first_failure().name}" for r in reports if not r.passed]
+    reports = {chain: derive_equivalence(chain) for chain in ("S", "QR")}
+    ok = all(r.passed for r in reports.values())
+    failed = [f"{chain}:{step.name}" for chain, r in reports.items()
+              for step in r.steps if not step.passed]
     _emit("AC-6", ok, "all chains exact" if ok else ", ".join(failed))
     assert ok
 

@@ -10,7 +10,6 @@ from regulab.divisors import (
     GROUPS,
     FormalDivisor,
     MinusDivisor,
-    MixedGroupError,
     PointGroup,
     SymbolicPoint,
     _line,
@@ -27,6 +26,14 @@ from regulab.families import FAMILIES
 from regulab.numerics import DegenerateInputError, solve_quadratic_stable
 
 
+def _multiplicity(d, p) -> int:
+    return dict(d.items()).get(p, 0)
+
+
+def _degree(d) -> int:
+    return sum(m for _, m in d.items())
+
+
 class TestPointGroup:
     def test_torsion_reduction(self):
         # with P of order 6, -P is stored as 5P
@@ -36,7 +43,7 @@ class TestPointGroup:
 
     def test_six_torsion_wraps(self):
         assert GROUPS["P"].point(P=7) == GROUPS["P"].point(P=1)
-        assert GROUPS["P"].point(P=6).is_zero()
+        assert GROUPS["P"].point(P=6) == GROUPS["P"].zero()
 
     def test_free_generator_is_not_reduced(self):
         g = PointGroup(("P", "U"), (("P", 6),))
@@ -48,7 +55,7 @@ class TestPointGroup:
 
     def test_mixed_group_addition_rejected(self):
         g = PointGroup(("Q",), (("Q", 6),))
-        with pytest.raises(MixedGroupError):
+        with pytest.raises(DegenerateInputError, match="different point groups"):
             GROUPS["P"].point(P=1) + g.point(Q=1)
 
 
@@ -56,13 +63,13 @@ class TestFormalDivisor:
     def test_zero_multiplicities_dropped(self):
         d = FormalDivisor([(GROUPS["P"].point(P=1), 2), (GROUPS["P"].point(P=1), -2)])
         assert not d
-        assert d.degree == 0
+        assert _degree(d) == 0
 
     def test_degree_and_arithmetic(self):
         a = FormalDivisor({GROUPS["P"].point(P=1): 3})
         b = FormalDivisor({GROUPS["P"].point(P=2): -1})
-        assert (a + b).degree == 2
-        assert (2 * a - b).multiplicity(GROUPS["P"].point(P=2)) == 1
+        assert _degree(a + b) == 2
+        assert _multiplicity(2 * a - b, GROUPS["P"].point(P=2)) == 1
 
     def test_canonicalize_minus_inversion(self):
         # (P) + (-P) dies; (2P) - (-2P) becomes 2(2P)
@@ -71,17 +78,17 @@ class TestFormalDivisor:
              GROUPS["P"].point(P=2): 1, GROUPS["P"].point(P=4): -1}
         )
         m = canonicalize_minus(d)
-        assert m.multiplicity(GROUPS["P"].point(P=1)) == 0
+        assert _multiplicity(m, GROUPS["P"].point(P=1)) == 0
         # the orbit {2P, 4P} keeps one representative with total weight 2
-        total = abs(m.multiplicity(GROUPS["P"].point(P=2))) + abs(
-            m.multiplicity(GROUPS["P"].point(P=4))
+        total = abs(_multiplicity(m, GROUPS["P"].point(P=2))) + abs(
+            _multiplicity(m, GROUPS["P"].point(P=4))
         )
         assert total == 2
 
     def test_self_inverse_mod_two(self):
         # 3P is 2-torsion under P of order 6: multiplicity is kept mod 2
         d = FormalDivisor({GROUPS["P"].point(P=3): 5})
-        assert canonicalize_minus(d).multiplicity(GROUPS["P"].point(P=3)) == 1
+        assert _multiplicity(canonicalize_minus(d), GROUPS["P"].point(P=3)) == 1
         assert not strip_self_inverse(d)
 
     def test_a_minus_divisor_is_returned_as_it_is(self):
@@ -126,8 +133,8 @@ class TestDerivationChains:
     @pytest.mark.parametrize("chain", ["S", "QR"])
     def test_chain_passes_exactly(self, chain):
         report = derive_equivalence(chain)
-        assert report.passed, report.first_failure()
-        assert report.first_failure() is None
+        assert [step.name for step in report.steps if not step.passed] == []
+        assert report.passed
 
     def test_s_chain_base_diamond_is_torsion_class(self):
         report = derive_equivalence("S")
@@ -154,11 +161,11 @@ class TestRtoQTransport:
     def test_even_a_coefficients_transport(self):
         d = FormalDivisor({GROUPS["R"].point(A=2, S=1): 1, GROUPS["R"].point(P=1): -1})
         out = map_r_to_q(d)
-        assert out.degree == 0
+        assert _degree(out) == 0
 
     def test_odd_a_coefficient_rejected(self):
         d = FormalDivisor({GROUPS["R"].point(A=1, S=1): 1})
-        with pytest.raises(MixedGroupError):
+        with pytest.raises(DegenerateInputError, match="involves the extra 2-torsion point"):
             map_r_to_q(d)
 
 
@@ -204,7 +211,7 @@ def _line_errors(emb, coeffs, divisor):
     cubic is the product of (X - x_p)^m_p.
     """
     c0, cx, cy = coeffs
-    zeros = [(emb.coordinates(p), m) for p, m in divisor.items() if not p.is_zero()]
+    zeros = [(emb.coordinates(p), m) for p, m in divisor.items() if p != p.group.zero()]
     errors = [f"pole {m} at {pt}" for pt, m in zeros if m < 0]
     for pt, _ in zeros:
         value = c0 + cx * pt.x + cy * pt.y
@@ -265,8 +272,8 @@ class TestCatalogLines:
         for name, d in family_divisor_catalog(family).items():
             if name in LONG_FORMS:
                 continue
-            assert d.degree == 0, name
-            assert sum((m * p for p, m in d.items()), g.zero()).is_zero(), name
+            assert _degree(d) == 0, name
+            assert sum((m * p for p, m in d.items()), g.zero()) == g.zero(), name
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(sorted(GROUPS)), st.data())
@@ -276,8 +283,8 @@ class TestCatalogLines:
         a, b = (SymbolicPoint(group, data.draw(coeffs)) for _ in range(2))
         line = _line(a, b)
         assert line == _line(b, a) == _line(a, -a - b)
-        assert line.degree == 0
-        assert sum((m * p for p, m in line.items()), group.zero()).is_zero()
+        assert _degree(line) == 0
+        assert sum((m * p for p, m in line.items()), group.zero()) == group.zero()
 
 
 class TestEmbeddings:
@@ -434,7 +441,7 @@ class TestAgainstTheObjectReference:
         f, g = (_build(GROUPS[n], data.draw(_divisor_terms(GROUPS[n], st.integers(1, 3), 1)))[0]
                 for n in names[:2])
         for op in (FormalDivisor.__add__, FormalDivisor.__sub__, diamond):
-            with pytest.raises(MixedGroupError):
+            with pytest.raises(DegenerateInputError, match="different point groups"):
                 op(f, g)
 
     @pytest.mark.parametrize("chain", ["S", "QR"])

@@ -5,11 +5,12 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
-from regulab.divisors import family_divisor_catalog, family_embedding
-from regulab.elliptic import O, elliptic_log, group_op, period_lattice
+from regulab.divisors import diamond, family_divisor_catalog, family_embedding
+from regulab.elliptic import O, CurvePoint, elliptic_log, group_op, period_lattice
 from regulab.families import FAMILIES, family
 from regulab.mahler import FamilySpec
 from regulab.numerics import DegenerateInputError
@@ -142,3 +143,35 @@ def test_unknown_family_is_invalid_input_and_case_is_ignored(entry):
     for name in FAMILIES:
         lower = call(name.lower(), IN_REGIME[name])
         assert lower and lower == call(name, IN_REGIME[name])
+
+
+# R's generator A has X = (-lin + sqrt(disc))/2, lin = beta^2 - 4 beta - 20, a sum that
+# cancels once lin > 0: at 502 A was off the curve, and from 5002 off by more than 1e-8
+LARGE_BETA = (502.0, 5002.0, 5e4, 5e5, 1e6)
+
+
+@pytest.mark.parametrize("beta", (1.0, 3.0, 7.3) + LARGE_BETA)
+def test_r_generator_a_is_its_root_to_full_precision(beta):
+    with mpmath.workdps(50):
+        b = mpmath.mpf(beta)
+        lin = b * b - 4 * b - 20
+        exact = float((-lin + mpmath.sqrt(lin * lin + 64 * (b - 5) * (b + 1))) / 2)
+    x_a = complex(FAMILIES["R"].points(beta)[1].x)
+    assert x_a.imag == 0.0
+    assert abs(x_a.real - exact) <= 4e-16 * abs(exact)
+
+
+@pytest.mark.parametrize("beta", LARGE_BETA)
+def test_r_embeds_at_large_beta_and_its_steinberg_element_vanishes(beta):
+    cat = family_divisor_catalog("R")
+    steinberg = diamond(cat["steinberg_f"], cat["steinberg_1mf"])
+    assert abs(family_embedding("R", beta).elliptic_dilog_of(steinberg)) < 1e-12
+
+
+@pytest.mark.parametrize("beta", (7.3, 502.0, 5002.0, 1e6))
+@pytest.mark.parametrize("name", ("A", "S"))
+def test_a_generator_moved_off_its_curve_is_rejected(name, beta):
+    fam = FAMILIES["R"]
+    curve, pt = fam.curve(beta), dict(zip(fam.generators, fam.points(beta)))[name]
+    assert curve.contains(pt)
+    assert not curve.contains(CurvePoint(pt.x * (1 + 1e-9), pt.y))

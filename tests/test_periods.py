@@ -16,9 +16,6 @@ from regulab.elliptic import period_lattice
 from regulab.families import FAMILIES, family
 from regulab.periods import (
     MAP_IDS,
-    MapDomainError,
-    ResidualReport,
-    UnsupportedRegimeError,
     change_of_variable_check,
     verify_period_identity,
 )
@@ -118,7 +115,7 @@ def involution_map(alpha: float, s: float) -> float:
     """s -> (1-s)/(1+alpha s), the "mobius-involution" substitution; its own inverse."""
     den = 1.0 + alpha * s
     if den == 0.0:
-        raise MapDomainError(f"involution pole at s={s}")
+        raise numerics.DegenerateInputError(f"involution pole at s={s}")
     return (1.0 - s) / den
 
 
@@ -167,7 +164,7 @@ class TestCycleIntegral:
         [("P", 8.0), ("P", 0.0), ("P", -0.5), ("P", -1.0), ("S", 9.0), ("Q", 3.9), ("R", 5.0)],
     )
     def test_out_of_regime_raises(self, family, param):
-        with pytest.raises(UnsupportedRegimeError):
+        with pytest.raises(numerics.DegenerateInputError, match=f"family {family} undefined at"):
             FAMILIES[family].cycle(param)
 
     def test_unknown_family_raises(self):
@@ -175,8 +172,8 @@ class TestCycleIntegral:
             family("Z").cycle(1.0)
 
     def test_residual_equal_to_tol_passes(self):
-        assert ResidualReport("x", 1.0, 1.0, 1.5, 0.5).passed
-        assert not ResidualReport("x", 1.0, 1.0, 1.5, 0.25).passed
+        assert numerics.Record("x@1", 1.0, 1.5, 0.5, 0.5).passed
+        assert not numerics.Record("x@1", 1.0, 1.5, 0.5, 0.25).passed
 
 
 class TestIdentities:
@@ -231,7 +228,7 @@ class TestInvolution:
         assert abs(involution_map(alpha, t) - s) < 1e-9
 
     def test_pole_raises(self):
-        with pytest.raises(MapDomainError):
+        with pytest.raises(numerics.DegenerateInputError, match="involution pole at s=0.5"):
             involution_map(-2.0, 0.5)
 
 

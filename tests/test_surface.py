@@ -2,11 +2,18 @@
 
 Every module-level function and class of ``src/regulab`` must be reached
 from ``cli.py`` by following module-level names through the syntax tree,
-apart from a named allowlist.  The README's quick example runs as written
-and gives the values its comments state.
+apart from a named allowlist.  One level down, every method, property and
+field of a reached class must be read as an attribute somewhere in reached
+code or in ``bench/*.py``, apart from a second allowlist.  The library has
+one exception type per exit code: it raises only ``DegenerateInputError``
+(exit 2), ``NoConvergenceError`` (exit 1) and ``OverflowError``, and every
+exception class it defines is one of the first two or is caught by name.
+The README's quick example runs as written and gives the values its
+comments state.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -14,6 +21,7 @@ import regulab
 
 SRC = Path(regulab.__file__).parent
 README = Path(__file__).parents[1] / "README.md"
+BENCH = Path(__file__).parents[1] / "bench"
 
 # module-level names no CLI path reaches, each kept for a stated reason
 ALLOWED_UNREACHED = {
@@ -27,6 +35,18 @@ ALLOWED_UNREACHED = {
     "mahler.eta_path_integral": "the eta route",
     "mahler.jensen_path_eta": "the eta route",
 }
+
+# members of reached classes that no reached code reads, each kept for a stated reason
+ALLOWED_UNREAD = {
+    "divisors.FamilyEmbedding.coordinates":
+        "the group-law oracle that ties each catalog line to its equation (test_divisors)",
+    "families.Family.to_curve": "test oracle, reserved for ROADMAP items 11 and 23",
+    "families.Family.from_curve": "test oracle, reserved for ROADMAP items 11 and 23",
+}
+
+# the one exception type per nonzero exit code; a raise may also give OverflowError (exit 2)
+KEPT_ERRORS = {"DegenerateInputError", "NoConvergenceError"}
+RAISABLE = KEPT_ERRORS | {"OverflowError"}
 
 
 def _modules() -> dict:
@@ -90,11 +110,18 @@ def _closure(roots, statements, module_alias, imported) -> set:
     return seen
 
 
+def _bench_trees() -> list:
+    return [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(BENCH.glob("*.py"))]
+
+
+def _cli_roots(statements, imported) -> set:
+    return {name for name in statements if name.startswith("cli.")} | set(imported["cli"].values())
+
+
 def _surface():
     modules = _modules()
     statements, module_alias, imported = _bindings(modules)
-    cli_roots = {name for name in statements if name.startswith("cli.")}
-    cli_roots |= set(imported["cli"].values())
+    cli_roots = _cli_roots(statements, imported)
     defined = {f"{mod}.{node.name}" for mod, tree in modules.items() for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     from_cli = _closure(cli_roots, statements, module_alias, imported)
@@ -112,6 +139,76 @@ def test_allowlist_names_exist_and_stay_unreached():
     defined, from_cli, _ = _surface()
     assert sorted(set(ALLOWED_UNREACHED) - defined) == []
     assert sorted(set(ALLOWED_UNREACHED) & from_cli) == []
+
+
+def _members(cls: ast.ClassDef) -> list:
+    """Names of the methods, properties and annotated fields of ``cls``, dunders apart."""
+    names = [node.name if isinstance(node, ast.FunctionDef) else node.target.id
+             for node in cls.body
+             if isinstance(node, ast.FunctionDef)
+             or isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+    return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
+
+
+def _attributes(nodes) -> set:
+    return {sub.attr for node in nodes for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+
+
+def _unread_members():
+    """(qualified members of reached classes, those no reached code or bench reads)."""
+    statements, module_alias, imported = _bindings(_modules())
+    roots = _cli_roots(statements, imported) | set(ALLOWED_UNREACHED)
+    reached = _closure(roots, statements, module_alias, imported)
+    read = _attributes(node for name in reached for node in statements.get(name, ()))
+    read |= _attributes(_bench_trees())
+    members = {f"{name}.{member}": member
+               for name in reached for node in statements.get(name, ())
+               if isinstance(node, ast.ClassDef) for member in _members(node)}
+    return set(members), {qualified for qualified, member in members.items() if member not in read}
+
+
+def test_every_member_of_a_reached_class_is_read():
+    _, unread = _unread_members()
+    assert sorted(unread - set(ALLOWED_UNREAD)) == []
+
+
+def test_member_allowlist_entries_exist_and_stay_unread():
+    members, unread = _unread_members()
+    assert sorted(set(ALLOWED_UNREAD) - members) == []
+    assert sorted(set(ALLOWED_UNREAD) - unread) == []
+
+
+def _called_name(node) -> str:
+    """The name a ``raise`` constructs or names: ``X`` for ``X(...)``, ``m.X`` or ``X``."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+
+def _caught_names() -> set:
+    out = set()
+    for tree in [*_modules().values(), *_bench_trees()]:
+        for handler in ast.walk(tree):
+            if isinstance(handler, ast.ExceptHandler) and handler.type is not None:
+                kinds = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+                out |= {_called_name(kind) for kind in kinds}
+    return out
+
+
+def test_every_exception_class_is_kept_or_caught_by_name():
+    defined = {f"{mod}.{node.name}" for mod, tree in _modules().items() for node in tree.body
+               if isinstance(node, ast.ClassDef)
+               and issubclass(getattr(importlib.import_module(f"regulab.{mod}"), node.name),
+                              BaseException)}
+    caught = KEPT_ERRORS | _caught_names()
+    assert sorted(name for name in defined if name.split(".")[1] not in caught) == []
+
+
+def test_the_library_raises_only_the_kept_errors_and_overflow():
+    raised = sorted(f"{mod}:{node.lineno}:{_called_name(node.exc)}"
+                    for mod, tree in _modules().items() for node in ast.walk(tree)
+                    if isinstance(node, ast.Raise) and node.exc is not None
+                    and _called_name(node.exc) not in RAISABLE)
+    assert raised == []
 
 
 def _quick_example() -> str:

@@ -2,18 +2,19 @@
 
 Subcommands: ``mahler`` (one measure), ``verify`` (a named campaign from
 ``CAMPAIGNS``), ``regulator`` (2 pi m(P_alpha) / |D^E(x <> y)| against 1
-for one parameter).  Each campaign row holds its record functions with
-their default parameters, its default tolerance and the verify options it
-takes; an option a campaign does not take exits 2, and an explicit --tol
-replaces the row's tolerance.  Every check returns Records (name, lhs, rhs,
-residual, tol).  Reports are printed as a human table by default; --json
-emits the fixed machine-readable schema and --csv a flat record table.
-Exit code 0 means every record passed, 1 a failed check or a quadrature
-that did not converge (NoConvergenceError), 2 invalid input
-(DegenerateInputError), such as a --tol that is not finite and positive,
-a parameter outside what the library computes, or one so large that the
-arithmetic overflows.  A reader that closes the output early, as
-``| head`` does, changes no exit code.
+for one parameter).  A campaign runs rows of the identity table
+(``periods.IDENTITIES``), or the exact diamond chains, at its default
+parameters, with its default tolerance and the verify options it takes; an
+option a campaign does not take exits 2, and an explicit --tol replaces
+its tolerance.  ``regulator`` runs the table's regulator row.  Every check
+returns Records (name, lhs, rhs, residual, tol).  Reports are printed as a
+human table by default; --json emits the fixed machine-readable schema and
+--csv a flat record table.  Exit code 0 means every record passed, 1 a
+failed check or a quadrature that did not converge (NoConvergenceError), 2
+invalid input (DegenerateInputError), such as a --tol that is not finite
+and positive, a parameter outside what the library computes, or one so
+large that the arithmetic overflows.  A reader that closes the output
+early, as ``| head`` does, changes no exit code.
 """
 
 from __future__ import annotations
@@ -31,25 +32,12 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import __version__
-from .divisors import (
-    CHAINS,
-    derive_equivalence,
-    diamond,
-    family_divisor_catalog,
-    family_embedding,
-)
+from .divisors import CHAINS, derive_equivalence
 from .families import FAMILIES
-from .lfunctions import (
-    TABLE_ONE,
-    l_prime_zero,
-    parse_override_file,
-    table_one_lseries,
-)
+from .lfunctions import TABLE_ONE, parse_override_file
 from .mahler import FamilySpec, family_poly, mahler_quadratic_y, mahler_torus2
 from .numerics import DegenerateInputError, NoConvergenceError, Record, Tolerance
-from .periods import MAP_IDS, change_of_variable_check, verify_period_identity
-
-TWO_PI = 2.0 * math.pi
+from .periods import IDENTITIES, check
 
 
 @dataclass
@@ -145,31 +133,9 @@ def cmd_mahler(args) -> Report:
     return rep
 
 
-def _measure(family, alpha):
-    return mahler_quadratic_y(family_poly(FamilySpec(family, alpha)))
-
-
-def _bz1(alpha, tol):
-    m_s, m_p = _measure("S", alpha), _measure("P", alpha)
-    if alpha < 0:
-        return [Record(f"m(S_{alpha:g})=m(P_{alpha:g})", m_s, m_p, abs(m_s - m_p), tol)]
-    return [Record(f"m(S_{alpha:g})=2m(P_{alpha:g})", m_s, 2 * m_p, abs(m_s - 2 * m_p), tol)]
-
-
-def _bz2(alpha, tol):
-    m_q, m_r = _measure("Q", alpha), _measure("R", alpha + 2)
-    return [Record(f"m(Q_{alpha:g})=m(R_{alpha + 2:g})", m_q, m_r, abs(m_q - m_r), tol)]
-
-
-def _residual(check, which, alpha, tol):
-    """A period identity or a substitution: ``check(which, alpha, tol)``, one Record."""
-    return [check(which, alpha, Tolerance(absolute=tol))]
-
-
-def _table1(alpha, tol, overrides=None):
-    ratio = float(TABLE_ONE[alpha][0])
-    value = _measure("P", alpha) / l_prime_zero(table_one_lseries(alpha, overrides=overrides))
-    return [Record(f"ratio@alpha={alpha}", value, ratio, abs(value - ratio), tol)]
+def _row(key):
+    """The record function of table row ``key``; a callable ``key`` names the row per parameter."""
+    return lambda a, tol, **kw: [check(key(a) if callable(key) else key, a, tol, **kw)]
 
 
 def _derivation(chain, tol):
@@ -178,17 +144,10 @@ def _derivation(chain, tol):
             for step in derive_equivalence(chain).steps]
 
 
-def _steinberg(family, param, tol):
-    cat = family_divisor_catalog(family)
-    st = diamond(cat["steinberg_f"], cat["steinberg_1mf"])
-    val = family_embedding(family, param).elliptic_dilog_of(st)
-    return [Record(f"{family}-steinberg@{param:g}", val, 0.0, abs(val), tol)]
-
-
 class Campaign(NamedTuple):
     """A ``regulab verify`` target, also run by the acceptance gate."""
 
-    cases: list  # (record function (param, tol) -> [Record], default params)
+    cases: list  # (record function (param, tol) -> [Record], default params), most from _row
     tol: float  # default --tol
     options: tuple = ()  # verify options it takes; a grid replaces every case's params
 
@@ -200,23 +159,22 @@ class Campaign(NamedTuple):
 
 
 _NEGATIVE = (-1.5, -2.0, -5.0, -20.0)
-_PERIOD = functools.partial(_residual, verify_period_identity)
-_MAP = functools.partial(_residual, change_of_variable_check)
 
 CAMPAIGNS = {
-    "bz1": Campaign([(_bz1, (0.5, 1.0, 2.0, 3.0, 3.5))], 1e-6, ("grid",)),
-    "bz2": Campaign([(_bz2, (4.0, 5.0, 6.5, 10.0))], 1e-6, ("grid",)),
+    "bz1": Campaign([(_row(lambda a: "s-eq-p" if a < 0 else "s-eq-2p"),
+                      (0.5, 1.0, 2.0, 3.0, 3.5))], 1e-6, ("grid",)),
+    "bz2": Campaign([(_row("q-eq-r"), (4.0, 5.0, 6.5, 10.0))], 1e-6, ("grid",)),
     "lemma32": Campaign(
-        [(functools.partial(_PERIOD, "p-doubled-vs-s"), tuple(0.5 * k for k in range(1, 16))),
-         (functools.partial(_PERIOD, "p-vs-s"), _NEGATIVE),
-         (functools.partial(_MAP, "shift-scale"), (0.5, 3.0, 7.5) + _NEGATIVE)]
-        + [(functools.partial(_MAP, m), _NEGATIVE) for m in MAP_IDS if m != "shift-scale"],
+        [(_row("p-doubled-vs-s"), tuple(0.5 * k for k in range(1, 16))),
+         (_row("p-vs-s"), _NEGATIVE),
+         (_row("shift-scale"), (0.5, 3.0, 7.5) + _NEGATIVE)]
+        + [(_row(key), _NEGATIVE) for key, row in IDENTITIES.items()
+           if row.kind == "map" and key != "shift-scale"],
         1e-8),
-    "sec42": Campaign([(functools.partial(_PERIOD, "q-vs-r"), (4.0, 5.0, 8.0, 12.0))], 1e-8,
-                      ("grid",)),
-    "table1": Campaign([(_table1, tuple(sorted(TABLE_ONE)))], 1e-4, ("ap_overrides",)),
+    "sec42": Campaign([(_row("q-vs-r"), (4.0, 5.0, 8.0, 12.0))], 1e-8, ("grid",)),
+    "table1": Campaign([(_row("table1"), tuple(sorted(TABLE_ONE)))], 1e-4, ("ap_overrides",)),
     "diamonds": Campaign([(_derivation, tuple(CHAINS))], 0.5),
-    "steinberg": Campaign([(functools.partial(_steinberg, f), (1.0, 3.0)) for f in "SR"], 1e-6),
+    "steinberg": Campaign([(_row(f"{f}-steinberg"), (1.0, 3.0)) for f in "SR"], 1e-6),
 }
 
 
@@ -237,14 +195,10 @@ def cmd_verify(args) -> Report:
 
 
 def cmd_regulator(args) -> Report:
-    rep = Report("regulator", {"family": args.family, "alpha": args.alpha})
     if FamilySpec(args.family, args.alpha).family != "P":  # a non-finite alpha raises here
         raise DegenerateInputError("the regulator ratio is defined for the cubic family")
-    cat = family_divisor_catalog("P")
-    dval = family_embedding("P", args.alpha).elliptic_dilog_of(diamond(cat["x"], cat["y"]))
-    ratio = TWO_PI * _measure("P", args.alpha) / abs(dval)
-    rep.records.append(Record("ratio", ratio, 1.0, abs(ratio - 1.0), args.tol))
-    return rep
+    return Report("regulator", {"family": args.family, "alpha": args.alpha},
+                  [check("regulator", args.alpha, args.tol)])
 
 
 # ---------------------------------------------------------------------------

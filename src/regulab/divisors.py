@@ -498,7 +498,7 @@ def family_embedding(family: str, param: float) -> FamilyEmbedding:
     curve = fam.curve(a)
     gens = dict(zip(fam.generators, fam.points(a)))
     for name, pt in gens.items():
-        if not curve.contains(pt, tol=1e-8):
+        if not curve.contains(pt):
             raise DegenerateInputError(f"generator {name} off curve at param {param}")
     lat = elliptic.period_lattice(curve)
     return FamilyEmbedding(fam.name, curve, lat, gens)

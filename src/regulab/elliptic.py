@@ -281,12 +281,11 @@ def elliptic_log(c: WeierstrassCurve, lat: PeriodLattice, p: CurvePoint) -> comp
     """u in C/Lambda with P = (x(u), y(u)) under the Abel map u = int_oo^P dx/w; u(O) = 0.
 
     Here w = 2y + a1*x + a3.  The representative has lattice coordinates
-    in [0, 1) (``reduce_mod_lattice``).
+    in [0, 1) (``reduce_mod_lattice``).  P must lie on c; ``family_embedding``
+    checks its generators before it takes their logs.
     """
     if p.infinity:
         return 0.0 + 0.0j
-    if not c.contains(p):
-        raise DegenerateInputError("point not on curve")
     x = complex(p.x)
     return _log_rf(lat, x, 2 * complex(p.y) + complex(c.a1) * x + complex(c.a3))
 

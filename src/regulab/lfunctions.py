@@ -139,12 +139,6 @@ def _affine_count(coeffs, p):
     return int(counts[0]) if np.ndim(p) == 0 else counts
 
 
-def _hasse_checked(a: int, p: int) -> int:
-    if a * a > 4 * p:
-        raise DegenerateInputError(f"a_{p}={a} violates the Hasse bound")
-    return a
-
-
 def _bad_kind(a: int, p: int) -> str:
     kinds = {1: "split-multiplicative", -1: "nonsplit-multiplicative", 0: "additive"}
     if a not in kinds:
@@ -187,10 +181,8 @@ def ap_table(c: WeierstrassCurve, conductor: int, bound: int,
                     f"reduction type at p={p} ({kind}) contradicts the "
                     f"conductor {conductor}; supply an override"
                 )
-            ap[p] = a
             bad[p] = kind
-        else:
-            ap[p] = _hasse_checked(a, p)
+        ap[p] = a  # APTable checks it: Hasse at a good prime, in {1, -1, 0} at a bad one
     return APTable(c, ap, bad)
 
 

@@ -1,6 +1,7 @@
 """The family table: each record's polynomial, curve, maps, generators and lookup."""
 
 import cmath
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -175,3 +176,17 @@ def test_a_generator_moved_off_its_curve_is_rejected(name, beta):
     curve, pt = fam.curve(beta), dict(zip(fam.generators, fam.points(beta)))[name]
     assert curve.contains(pt)
     assert not curve.contains(CurvePoint(pt.x * (1 + 1e-9), pt.y))
+
+
+def test_a_generator_within_the_loose_tolerance_is_still_rejected_by_name(monkeypatch):
+    # at alpha = 3, U's X moved by 3e-10 relative is on the curve at 1e-8 and off it
+    # at contains' default 1e-10
+    fam = FAMILIES["S"]
+
+    def points(a):
+        return [CurvePoint(pt.x * (1 + 3e-10), pt.y) if name == "U" else pt
+                for name, pt in zip(fam.generators, fam.points(a))]
+
+    monkeypatch.setitem(FAMILIES, "S", dataclasses.replace(fam, points=points))
+    with pytest.raises(DegenerateInputError, match="^generator U off curve at param 3.0$"):
+        family_embedding("S", 3.0)

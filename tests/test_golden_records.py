@@ -1,9 +1,11 @@
 """Every campaign's default records, and some commands', against the committed golden files."""
 
 import json
+import sys
 
 import pytest
 
+import cli_contract
 from golden_records import COMMANDS, differences, golden
 from regulab.cli import CAMPAIGNS, main
 
@@ -33,3 +35,14 @@ def test_a_moved_value_a_verdict_and_a_missing_record_are_reported():
     assert len(differences("bz1", report)) == 2
     report["records"].pop()
     assert differences("bz1", report)[0].startswith("record names")
+
+
+def test_the_cli_contract_reports_every_check_a_broken_console_script_fails(tmp_path):
+    # a console script that crashes: every campaign, every golden command, the five
+    # exit-2 cases and the scientific --alpha each give one failure line
+    (tmp_path / "python").symlink_to(sys.executable)
+    regulab = tmp_path / "regulab"
+    regulab.write_text("#!/bin/sh\necho 'Traceback (most recent call last):' >&2\nexit 1\n")
+    regulab.chmod(0o755)
+    found = list(cli_contract.failures(tmp_path))
+    assert len(found) == len(CAMPAIGNS) + len(golden(COMMANDS)) + 5 + 1, found

@@ -15,10 +15,14 @@ from regulab import cli, numerics, periods
 from regulab.elliptic import period_lattice
 from regulab.families import FAMILIES, family
 from regulab.periods import (
-    MAP_IDS,
+    IDENTITIES,
     change_of_variable_check,
     verify_period_identity,
 )
+
+from golden_records import COMMANDS, golden
+
+MAP_IDS = [key for key, row in IDENTITIES.items() if row.kind == "map"]
 
 
 def _mul(*polys):
@@ -192,18 +196,58 @@ class TestIdentities:
         rep = verify_period_identity("q-vs-r", alpha)
         assert rep.passed, rep.residual
 
-    def test_identity_ids_complete(self):
+    def test_identity_ids_complete(self, monkeypatch, capsys):
+        # every record of a default campaign but diamonds comes from a row of the
+        # table, and every row runs in a default campaign or a golden command
+        made = []
+
+        def spy(key, *args, **kw):
+            made.append((key, periods.check(key, *args, **kw)))
+            return made[-1][1]
+
+        monkeypatch.setattr(cli, "check", spy)
+        for target, campaign in cli.CAMPAIGNS.items():
+            for rec in campaign.records():
+                assert (target == "diamonds") != any(rec is r for _, r in made), rec.name
+        for command in golden(COMMANDS):  # a lone measure is no identity
+            assert command.startswith("mahler") or cli.main(command.split()) == 0
+        capsys.readouterr()
+        assert {key for key, _ in made} == set(IDENTITIES)
         # lemma32 and sec42 between them run every identity and every substitution
         names = {r.name.split("@")[0] for target in ("lemma32", "sec42")
                  for r in cli.CAMPAIGNS[target].records()}
-        assert names == {"p-doubled-vs-s", "p-vs-s", "q-vs-r", *MAP_IDS}
+        assert names == {key for key, row in IDENTITIES.items() if row.kind}
+        assert {row.kind for row in IDENTITIES.values()} == {"", "identity", "map"}
 
     def test_unknown_identity_rejected(self):
         with pytest.raises(Exception):
             verify_period_identity("no-such-identity", 3.0)
 
+    @pytest.mark.parametrize("key", ["shift-scale", "s-eq-2p", "regulator", "table1"])
+    def test_a_row_of_another_kind_is_no_identity(self, key):
+        with pytest.raises(numerics.DegenerateInputError, match=f"unknown identity '{key}'"):
+            verify_period_identity(key, 3.0)
+
+    @pytest.mark.parametrize("key", ["p-vs-s", "q-eq-r", "S-steinberg"])
+    def test_a_row_of_another_kind_is_no_map(self, key):
+        with pytest.raises(numerics.DegenerateInputError, match=f"unknown map '{key}'"):
+            change_of_variable_check(key, -3.0)
+
+    @pytest.mark.parametrize("which, param, message", [
+        ("p-doubled-vs-s", 8.0, "^needs 0 < alpha < 8$"),
+        ("p-vs-s", -1.0, "^needs alpha < -1$"),
+    ])
+    def test_guard_messages(self, which, param, message):
+        with pytest.raises(numerics.DegenerateInputError, match=message):
+            verify_period_identity(which, param)
+
 
 class TestChangeOfVariable:
+    @pytest.mark.parametrize("map_id", [m for m in MAP_IDS if m != "shift-scale"])
+    def test_guard_message_names_the_map(self, map_id):
+        with pytest.raises(numerics.DegenerateInputError, match=f"^{map_id} needs alpha < -1$"):
+            change_of_variable_check(map_id, 0.5)
+
     @pytest.mark.parametrize("map_id", MAP_IDS)
     def test_substitutions_close(self, map_id):
         if map_id in ("reciprocal-t", "reciprocal-w", "degree2-isogeny",

@@ -224,15 +224,23 @@ def mahler_quadratic_y(p: BivariatePoly, tol: Tolerance = Tolerance(absolute=1e-
     per_panel = Tolerance(absolute=max(tol.absolute / max(len(panels), 1), 1e-14))
 
     def positive_log_sum(theta, row):
-        a, b, c = p.coeffs_at(np.exp(1j * theta))
+        a, b, c = p.coeffs_at(_cis(theta))
         if p.y_degree == 1:
             return np.log(np.maximum(np.abs(c / b), 1.0))
         return _log_plus_sum(a, b, c)
 
     ends = [[(lo, hi)] for lo, hi in zip(panels[:-1], panels[1:])]
-    total = sum(r.value for r in integrate_panel_rows(positive_log_sum, ends, per_panel))
+    total = sum(integrate_panel_rows(positive_log_sum, ends, per_panel).value.tolist())
     # real coefficients: the [pi, 2pi] half mirrors [0, pi]
     return base + total / math.pi
+
+
+def _cis(t: np.ndarray) -> np.ndarray:
+    """cos t + i sin t = e^{it} for real t, written into one array: bit for bit np.exp(1j * t)."""
+    z = np.empty(np.shape(t), dtype=complex)
+    np.cos(t, out=z.real)
+    np.sin(t + 0.0, out=z.imag)  # 1j * -0.0 has imaginary part +0.0
+    return z
 
 
 def _log_plus_sum(a, b, c) -> np.ndarray:
@@ -287,17 +295,23 @@ def mahler_torus2(p: BivariatePoly, tol: Tolerance = Tolerance(absolute=1e-5)) -
     inner_tol = Tolerance(absolute=0.5 * tol.absolute)  # stops at 0.05*tol
 
     def outer(theta: np.ndarray) -> np.ndarray:
-        a, b, c = p.coeffs_at(np.exp(1j * theta))
+        a, b, c = p.coeffs_at(_cis(theta))
         # on |y| = 1, |P| is not resolved below the rounding error of its
         # terms; samples that close to a torus zero can come out as exactly 0
-        noise = _EPS * (np.abs(a) + np.abs(b) + np.abs(c))
+        table = np.stack([a, b, c, _EPS * (np.abs(a) + np.abs(b) + np.abs(c))])
 
         def log_abs_p(phi, row):
-            y = np.exp(1j * phi)
-            return np.log(np.maximum(np.abs((a[row] * y + b[row]) * y + c[row]), noise[row]))
+            # one gather of the rows' a, b, c and noise: the call's largest array (numerics)
+            y, (v, b_row, c_row, noise) = _cis(phi), table.take(row, axis=1)
+            v *= y  # (a y + b) y + c in place
+            v += b_row
+            v *= y
+            v += c_row
+            out = np.abs(v)
+            return np.log(np.maximum(out, noise.real, out=out), out=out)
 
         rows = integrate_panel_rows(log_abs_p, _phi_panel_rows(_root_rows(p, a, b, c)), inner_tol)
-        return np.array([r.value for r in rows]) / TWO_PI
+        return rows.value / TWO_PI
 
     # by Jensen's formula the inner average is log|A| + sum log+|y_i|, so the
     # outer integrand kinks at the same angles as the Jensen integrand
@@ -346,7 +360,7 @@ def _eta_rows(x_of_t, y_of_t, ends: np.ndarray, tol: Tolerance) -> float:
         dy = (y_of_t(t + h) - y_of_t(t - h)) / (2.0 * h)
         return np.log(np.abs(x)) * (dy / y).imag - np.log(np.abs(y)) * (dx / x).imag
 
-    return sum(r.value for r in integrate_panel_rows(integrand, ends[:, None], tol))
+    return sum(integrate_panel_rows(integrand, ends[:, None], tol).value.tolist())
 
 
 def jensen_path_eta(spec: FamilySpec, tol: Tolerance = Tolerance(absolute=1e-9)) -> float:
@@ -360,11 +374,11 @@ def jensen_path_eta(spec: FamilySpec, tol: Tolerance = Tolerance(absolute=1e-9))
     p = family_poly(spec)
 
     def y_of(theta):
-        roots = _root_rows(p, *p.coeffs_at(np.exp(1j * theta)))
+        roots = _root_rows(p, *p.coeffs_at(_cis(theta)))
         return roots[np.arange(len(roots)), np.abs(roots).argmax(axis=1)]
 
     panels = np.array(p.panels)
     ends = np.stack([panels[:-1], panels[1:]], axis=-1)
     on_path = np.abs(y_of(0.5 * (ends[:, 0] + ends[:, 1]))) >= 1.0 + 1e-13
     # the conjugate half of the torus contributes equally
-    return 2.0 * _eta_rows(lambda th: np.exp(1j * th), y_of, ends[on_path], tol)
+    return 2.0 * _eta_rows(_cis, y_of, ends[on_path], tol)

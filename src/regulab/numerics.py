@@ -6,13 +6,12 @@ integrable inverse-square-root and logarithmic blow-up at the interval
 ends.  It runs many integrals (rows) of one vectorised integrand side
 by side, each over a sum of panels, and calls the integrand once on the
 nodes of refinement levels 0-3 together and then once per further
-level, for each block of rows still refining.  A block holds at most
-``_TS_BLOCK_NODES`` node slots (or one row), so the working set stays
-bounded however many rows a call has.  A row stops at its tolerance or at
-the level cap.  ``integrate_adaptive`` (a vectorised integrand) and
-``integrate_endpoint_singular`` (a scalar one) are its one-row entries.
-Each row gets a :class:`QuadratureResult` with an error estimate and an
-evaluation count.
+level, for each bounded block of rows still refining.  A row stops at
+its tolerance or at the level cap.  A call returns a
+:class:`QuadratureRows`, an array each of the rows' values, error
+estimates and evaluation counts; item i is row i's
+:class:`QuadratureResult`, the type ``integrate_adaptive`` (a vectorised
+integrand) and ``integrate_endpoint_singular`` (a scalar one) return.
 
 Interior singularities are *not* handled here; callers split the domain
 at known bad points first.
@@ -76,6 +75,22 @@ class QuadratureResult:
             raise DegenerateInputError("malformed quadrature result")
 
 
+@dataclass(frozen=True)
+class QuadratureRows:
+    """The rows of one ``integrate_panel_rows`` call, each ``QuadratureResult`` field an array."""
+
+    value: np.ndarray
+    error_estimate: np.ndarray
+    evaluations: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.value)
+
+    def __getitem__(self, i: int) -> QuadratureResult:
+        return QuadratureResult(self.value[i].item(), self.error_estimate[i].item(),
+                                self.evaluations[i].item())
+
+
 class NoConvergenceError(RuntimeError):
     """A quadrature row above its tolerance at the level cap, with its best; the CLI exits 1."""
 
@@ -89,12 +104,9 @@ def integrate_adaptive(
 ) -> QuadratureResult:
     """Tanh-sinh integration of a vectorised f over (a, b); a < b is required.
 
-    f takes an array of abscissae and returns the integrand on it.  It is
-    called once for levels 0-3 and then once per further level, so at most
-    ``_TS_LEVELS - 2`` times, and never at a or b, where it may have
-    integrable singularities.  This is ``integrate_panel_rows`` on one row
-    of one panel: it stops at its first level within 0.1 * tol of the one
-    before, or raises NoConvergenceError if the level cap leaves it above tol.
+    ``integrate_panel_rows`` on one row of one panel: f takes an array of
+    abscissae, never a or b, at most ``_TS_LEVELS - 2`` times, and the rule
+    stops within 0.1 * tol of the level before or raises NoConvergenceError.
     """
     if not a < b:  # false for NaN too
         raise DegenerateInputError(f"need a < b, got ({a!r}, {b!r})")
@@ -123,7 +135,10 @@ _TS_GROUPS = ((0, _TS_FUSED),) + tuple((j, j) for j in range(_TS_FUSED + 1, _TS_
 # blocks of at most this many node slots (rows x panels x group nodes; one
 # row at least), one integrand call per block.  That bounds every array of
 # a call to 128 KB of floats; a torus2 inner call near a singular fibre
-# would otherwise pass some 30,000 nodes at once.
+# would otherwise pass some 30,000 nodes at once.  glibc gives its heap top
+# back once twice its largest mapped block lies free there, to fault it in
+# again: torus-xcheck took 75-215 minor faults a check until torus2's one
+# gather (mahler) was over half of each call's peak; now it takes under 2.
 _TS_BLOCK_NODES = 1 << 14
 
 
@@ -169,38 +184,29 @@ def integrate_panel_rows(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     ends,
     tol: Tolerance = Tolerance(),
-) -> list[QuadratureResult]:
+) -> QuadratureRows:
     """Tanh-sinh integration of many rows, each over a sum of panels, side by side.
 
     ``ends`` has shape (rows, panels, 2): row i integrates over the panels
-    ``ends[i, k] = (a, b)`` with a <= b, where an empty panel (a == b)
-    adds nothing.  f may have integrable logarithmic or inverse-square-root
-    singularities at any panel end and is never evaluated there.  It is
-    called as f(x, row) on the new nodes of the rows still refining,
-    ``row[j]`` being the row of node ``x[j]``: once per level group for
-    each block of rows still refining, the first group holding levels
-    0.._TS_FUSED and each later one a single further level, up to
-    ``_TS_LEVELS``.  A block holds at most ``_TS_BLOCK_NODES`` node slots
-    (rows x panels x group nodes), or one row where a row alone has more,
-    so f never sees more than max(_TS_BLOCK_NODES, panels x group nodes)
-    nodes.  Rows are independent, so the blocks change no result.  Each
-    level of a call then updates its rows in turn, so a row stops at its
-    first level whose estimate differs from the one before by at most
-    0.1 * tol: the level, value and error estimate of the row integrated
-    alone.  At the level cap a difference up to tol is accepted; a row
-    left above that stalls and raises NoConvergenceError carrying that
-    row's best estimate.  A row's evaluation count is that of the nodes
-    evaluated, which includes any levels of the first call past its stop.
+    ``ends[i, k] = (a, b)`` with a <= b; an empty panel (a == b) adds nothing.
+    f may have integrable logarithmic or inverse-square-root singularities at
+    any panel end and is never evaluated there.  It is called as f(x, row),
+    ``row[j]`` being the row of node ``x[j]``, on the new nodes of each level
+    group (levels 0.._TS_FUSED, then one level at a time to ``_TS_LEVELS``)
+    for each block of rows still refining: at most ``_TS_BLOCK_NODES`` node
+    slots (rows x panels x group nodes), or one row.  A row stops, as if run
+    alone, at its first level within 0.1 * tol of the one before, or at the
+    level cap, where up to tol passes and the first block holding a row above
+    that raises NoConvergenceError with its best.  A row's evaluation count
+    includes any levels of the first call past its stop.
     """
     ends = np.asarray(ends, dtype=float)
     if (ends.ndim != 3 or ends.shape[2] != 2 or not np.isfinite(ends).all()
             or (ends[..., 0] > ends[..., 1]).any()):
         raise DegenerateInputError(
             f"need shape (rows, panels, 2) with finite panels a <= b, got {ends.tolist()!r}")
-    total = np.zeros(len(ends))
-    estimate = np.zeros(len(ends))
-    err = np.full(len(ends), math.inf)
-    evals = np.zeros(len(ends), dtype=int)
+    total, evals = np.zeros(len(ends)), np.zeros(len(ends), dtype=int)
+    estimate, err = np.full((2, len(ends)), math.inf)  # so level 0 has no error estimate
     active = np.arange(len(ends))
     for first, last in _TS_GROUPS:
         if not active.size:
@@ -213,46 +219,45 @@ def integrate_panel_rows(
         else:
             active = np.concatenate([_refine(f, active[i:i + block], *state)
                                      for i in range(0, active.size, block)])
-    # rows left unconverged at the level cap pass up to tol
-    stalled = np.nonzero(~(err <= tol.absolute))[0]
-    results = [QuadratureResult(v, e, max(n, 1))
-               for v, e, n in zip(estimate.tolist(), err.tolist(), evals.tolist())]
-    if stalled.size:
-        i = stalled[0]
-        raise NoConvergenceError(
-            f"tanh-sinh quadrature stalled at error {err[i]:.3g}", results[i]
-        )
-    return results
+    return QuadratureRows(estimate, err, np.maximum(evals, 1))
 
 
 def _refine(f, active, ends, nodes, first, tol, total, estimate, err, evals):
     """Refine the rows ``active`` by the level group ``nodes``, whose first level is ``first``.
 
-    One call of f on the group's new nodes, then one update per level of
-    those rows of total, estimate, err and evals, in place.  Returns the
-    rows still refining after the group's last level.
+    One call of f on the group's new nodes, then one update of those rows
+    of total, estimate, err and evals, in place.  Returns the rows still
+    refining; at the level cap the first of them above tol raises.
     """
     a, b = ends[active, :, :1], ends[active, :, 1:]
     w = b - a
-    x = np.where(nodes.left, a, b) + w * nodes.step
+    x = np.where(nodes.left, a, b)
+    x += w * nodes.step
     inside = (a < x) & (x < b)  # else rounded onto an end; weighted term is ~1e-37
-    pos, _, node = inside.nonzero()  # ``pos`` indexes ``active``
-    terms = (w * nodes.weight)[inside] * f(x[inside], active[pos])
-    evals[active] += np.bincount(pos, minlength=active.size)  # every node of the group
-    # one level at a time, each adding the same terms in the same order
-    # as a call for that level alone would
-    level = nodes.level[node]
-    live = np.ones(active.size, dtype=bool)
-    for j, h in enumerate(nodes.h):
-        at = level == j
-        rows = active[live]
-        total[rows] += np.bincount(pos[at], terms[at], active.size)[live]
-        est = h * total[rows]
-        # level 0 alone has no error estimate
-        diff = np.abs(est - estimate[rows]) if first + j else np.full(rows.size, math.inf)
-        estimate[rows], err[rows] = est, diff
-        live[live] = ~(diff <= 0.1 * tol.absolute)
-    return active[live]
+    count = np.add.reduce(inside, axis=(1, 2))
+    evals[active] += count  # every node of the group
+    x = x[inside]  # drop the slot array before f runs: f's largest array then leads the peak
+    terms = f(x, active.repeat(count)) * (w * nodes.weight)[inside]
+    # one bin per (row, level), adding its terms in the order one call per level would
+    levels = nodes.h.size
+    key = np.arange(0, active.size * levels, levels).repeat(count)
+    if levels > 1:
+        key += (inside * nodes.level)[inside]
+    sums = np.bincount(key, terms, active.size * levels).reshape(active.size, levels)
+    # total, estimate and error after each level, as one update per level leaves them
+    run = np.concatenate([total[active, None], sums], axis=1).cumsum(axis=1)[:, 1:]
+    est = nodes.h * run
+    diff = np.abs(est - np.concatenate([estimate[active, None], est[:, :-1]], axis=1))
+    stop = diff <= 0.1 * tol.absolute  # a row stops at the first such level
+    stopped = np.logical_or.reduce(stop, axis=1)
+    stop[:, -1] = True  # a row still refining keeps its last level
+    i, j = np.arange(active.size), stop.argmax(axis=1)
+    total[active], estimate[active], err[active] = run[i, j], est[i, j], diff[i, j]
+    left = active[~stopped]
+    if first + levels > _TS_LEVELS and (stalled := left[~(err[left] <= tol.absolute)]).size:
+        raise NoConvergenceError(f"tanh-sinh quadrature stalled at error {err[stalled[0]]:.3g}",
+                                 QuadratureRows(estimate, err, np.maximum(evals, 1))[stalled[0]])
+    return left
 
 
 def solve_quadratic_stable(a: complex, b: complex, c: complex) -> tuple[complex, complex]:

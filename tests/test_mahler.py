@@ -2,11 +2,15 @@
 
 import cmath
 import math
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from regulab import mahler
 from regulab.mahler import (
@@ -170,6 +174,46 @@ class TestMahlerMeasures:
 
         check()
 
+    # mahler_torus2 at tol 1e-5, bit for bit: values of the kernel before its
+    # levels shared one bincount and its integrand lost its complex temporaries
+    @pytest.mark.parametrize("family,alpha,bits", [
+        ("P", 3.0, "0x1.3bd681f7e86d6p-1"), ("P", -2.0, "0x1.32de18a20efc8p+0"),
+        ("S", 2.7, "0x1.1f5f1bceea394p+0"), ("S", -3.0, "0x1.7ef40babe54d3p+0"),
+        ("Q", 5.3, "0x1.a91ca7c7a1752p+0"), ("Q", 5.5807, "0x1.b6a8dec05f663p+0"),
+        ("R", 7.3, "0x1.a91ca7c7a1735p+0"), ("R", 11.561, "0x1.20e5415c60836p+1"),
+    ])
+    def test_torus2_bits_are_pinned(self, family, alpha, bits):
+        poly = family_poly(FamilySpec(family, alpha))
+        assert mahler_torus2(poly, Tolerance(absolute=1e-5)).hex() == bits
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc heap behaviour")
+    def test_torus2_calls_fault_in_no_fresh_pages(self):
+        # A fresh process makes one warm-up call and then 200 more over the bench's
+        # torus ranges, reading its own minor page faults.  While no one array led
+        # an inner call's peak (ten complex temporaries of 16 B a node in the
+        # integrand), glibc gave its heap top back after each call and faulted it
+        # in again: about 180 faults per call here; under 1 with the one gather.
+        code = textwrap.dedent("""
+            import resource
+            from regulab.mahler import FamilySpec, family_poly, mahler_torus2
+            from regulab.numerics import Tolerance
+            ranges = (("P", -3.0, 7.0), ("S", -3.0, 7.0), ("Q", 4.0, 12.0), ("R", 6.0, 14.0))
+            grid = [(f, lo + (hi - lo) * (k + 0.5) / 50)
+                    for k in range(50) for f, lo, hi in ranges]
+            def run(f, a):
+                mahler_torus2(family_poly(FamilySpec(f, a)), Tolerance(absolute=1e-5))
+            run("P", 3.0)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for f, a in grid:
+                run(f, a)
+            print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / len(grid))
+        """)
+        env = {"PYTHONPATH": str(Path(mahler.__file__).parents[1]), "PATH": ""}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) <= 2.0
+
     @pytest.mark.parametrize("rows", [[[2, 1]], [[1, 1], [1]], [[3, 3], [-4, -1], [1]]])
     def test_torus2_handles_every_y_degree(self, rows):
         # 2 + x, 1 + x + y and the non-self-inversive (y - 1 - x)(y - 3)
@@ -255,6 +299,14 @@ class TestMahlerMeasures:
         for family, alpha in (("P", 1.0), ("S", 3.0), ("Q", 6.0), ("R", 8.0)):
             assert mahler_quadratic_y(family_poly(FamilySpec(family, alpha))) >= -1e-12
 
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+@example([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-17, -3.5, 7.0,
+          1e22, -1e300, 1.7976931348623157e308])
+def test_cis_is_complex_exp_bit_for_bit(t):
+    t = np.array(t, dtype=float)
+    assert mahler._cis(t).tobytes() == np.exp(1j * t).tobytes()
 
 # ---------------------------------------------------------------------------
 # reference oracle: the panel search on np.roots, with a per-root angle loop

@@ -367,6 +367,31 @@ class TestPanelRowsOracle:
         assert max(size for size, _ in calls) > numerics._TS_BLOCK_NODES  # the one-row case
         assert len(calls) > len(numerics._TS_GROUPS)  # some group took several calls
 
+    def test_a_stall_raises_after_the_first_block_that_holds_it(self, monkeypatch):
+        # the case above: the inner call that stalls runs one row per block from
+        # level 10 on, and at the level cap the first block already holds a stalled row
+        place = mahler._phi_panel_rows
+        monkeypatch.setattr(mahler, "_phi_panel_rows",
+                            lambda roots: place(roots * cmath.exp(1e-3j)))
+        firsts = []
+        refine = numerics._refine
+
+        def spy(f, active, ends, nodes, first, *state):
+            firsts.append(first)
+            return refine(f, active, ends, nodes, first, *state)
+
+        monkeypatch.setattr(numerics, "_refine", spy)
+        with pytest.raises(NoConvergenceError) as err:
+            mahler_torus2(family_poly(FamilySpec("P", 3.0)), Tolerance(absolute=1e-5))
+        # the message and best estimate of a kernel that ran every block first
+        best = err.value.best
+        assert str(err.value) == "tanh-sinh quadrature stalled at error 8.17e-06"
+        assert (best.value.hex(), best.error_estimate.hex(), best.evaluations) == (
+            "0x1.16bb19d0e1b54p+2", "0x1.1242fca100000p-17", 51637)
+        stalled_call = firsts[len(firsts) - firsts[::-1].index(0) - 1:]  # its groups' blocks
+        assert stalled_call.count(_TS_LEVELS - 1) > 1
+        assert stalled_call.count(_TS_LEVELS) == 1
+
 
 class TestQuadraticSolver:
     def test_cancellation_case(self):

@@ -34,9 +34,7 @@ from .divisors import (
 from .mahler import (
     BivariatePoly,
     FamilySpec,
-    eta_path_integral,
     family_poly,
-    jensen_univariate,
     mahler_quadratic_y,
     mahler_torus2,
 )

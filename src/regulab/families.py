@@ -32,6 +32,12 @@ class Family:
     """One family; each callable takes the parameter first.
 
     ``rows(param)`` lists the ascending x-coefficients of y^0, y^1 and y^2.
+    ``c_factors(param)`` is (K factors, |A|^2 factors) for the polynomial
+    A y^2 + B y + C: on |x| = 1, K = |B|^2 - 4|A|^2 and |A|^2 are polynomials
+    in c = cos theta, each the product of its closed-form factors of degree
+    <= 2.  A factor f is (f(-1), f(1), a), a its c^2 coefficient, so f(c) =
+    f(-1) (1-c)/2 + f(1) (1+c)/2 + a (c^2 - 1); no end value cancels, so
+    a root near c = -1 or 1 keeps its distance from it (``mahler``'s kinks).
     ``curve(param)`` is the Weierstrass target and raises
     DegenerateInputError at a singular member.  ``to_curve(param, x, y)``
     maps an affine zero of the polynomial to a point of the curve, and
@@ -46,6 +52,7 @@ class Family:
 
     name: str
     rows: Callable
+    c_factors: Callable
     curve: Callable
     to_curve: Callable
     from_curve: Callable
@@ -265,25 +272,45 @@ def _r_cycle(beta: float):
     return (s0, 1.0), complete_integral(factors, s0, 1.0)
 
 
+def _q_factors(alpha):
+    # K = 2 alpha^2 (c+1) - 4(2c+1)^2 = -4 (2c+1-d_hi)(2c+1-d_lo), d_hi d_lo = -alpha^2/4.
+    # Near alpha = 0 both roots and the double root of |A|^2 = (2c+1)^2 lie near
+    # c = -1/2; as linear factors they keep their distances there.  The root
+    # nears c = 1 at |alpha| = 3, where 3 - d_hi = 8 (9 - alpha^2)/(24 - alpha^2 + |alpha| s).
+    a = abs(alpha)
+    s = _sqrt_generic(a * a + 16)
+    d_hi, d_lo = a * (a + s) / 8, -2 * a / (a + s)
+    three_m = 8 * (3 - a) * (3 + a) / (24 - a * a + a * s) if a * a < 24 else 3 - d_hi
+    return ((-4, -4, 0), (-1 - d_hi, three_m, 0), (-1 - d_lo, 3 - d_lo, 0)), ((-1, 3, 0),) * 2
+
+
 # ---------------------------------------------------------------------------
 # the table
 # ---------------------------------------------------------------------------
 
 FAMILIES = {f.name: f for f in (
     Family("P", lambda a: [[0, 1, 1], [1, 2 - a, 1], [1, 1]],
+           # K = 4c^2 - 4 alpha c + alpha^2 - 4 alpha - 4, |A|^2 = 2(c+1)
+           lambda a: (((a * a, a * (a - 8), 4),), ((0, 4, 0),)),
            _deuring, _p_to_curve, _p_from_curve,
            ("P",), (("P", 6),), lambda a: (CurvePoint(a, a),),
            _p_cycle),  # 1/sqrt(t(1-t)((alpha-4t)^2-16t)) for 0<alpha<8 and alpha<-1
     Family("S", lambda a: [[0, 0, 0, 0, 1], [1, a, 2 * a, a, 1], [1]],
+           # K = 4(c+1)(2c+alpha-2)(2c^2+alpha c+alpha), |A|^2 = 1
+           lambda a: (((4, 4, 0), (0, 2, 0), (a - 4, a, 0), (2, 2 * (a + 1), 2)), ()),
            _deuring, _s_to_curve, _s_from_curve,
            ("P", "U", "V"), (("P", 6),), _s_points,
            _s_cycle),  # 1/sqrt((1-t)(2t+alpha-2)(2t^2+alpha*t+alpha)), the same regimes
     Family("Q", lambda a: [[0, 1, 1, 1], [0, a, a], [1, 1, 1]],
+           _q_factors,  # K = 2 alpha^2 (c+1) - 4(2c+1)^2, |A|^2 = (2c+1)^2
            _twist, _q_to_curve, _q_from_curve,
            ("P", "S", "T"), (("P", 2),), _q_points,
            _q_cycle),  # 1/sqrt((1-t)(alpha^2*t-(4t-1)^2)) for alpha>=4
     # R at beta lies on the quartic twist at alpha = beta - 2
     Family("R", lambda b: [[0, 0, 1, 1, 1], [1, b, 2 * b - 4, b, 1], [1, 1, 1]],
+           # K = 4(c+1)(2c+beta-4)(2c^2+(beta+2)c+beta-2), |A|^2 = (2c+1)^2
+           lambda b: (((4, 4, 0), (0, 2, 0), (b - 6, b - 2, 0), (-2, 2 * (b + 1), 2)),
+                      ((-1, 3, 0), (-1, 3, 0))),
            lambda b: _twist(b - 2), _r_to_curve, _r_from_curve,
            ("P", "A", "S", "T"), (("P", 2), ("A", 2)), _r_points,
            _r_cycle),  # 1/sqrt((1-t)((beta-4)+2t)(2t^2+(beta+2)t+(beta-2))) for beta>=6

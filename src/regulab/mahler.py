@@ -1,27 +1,26 @@
 """Mahler measures of the quadratic-in-y family polynomials.
 
-The main route is Jensen reduction: for P = A(x) y^2 + B(x) y + C(x),
+The main route is Jensen reduction in c = cos theta.  For each family
+P = A(x) y^2 + B(x) y + C(x), on |x| = 1 C/A = x^k and B / (A x^(k/2)) is
+real, and m(A) = 0, so log+|y_1| + log+|y_2| = arccosh+(|B| / 2|A|) and
 
-    m(P) = m(A) + (1/2pi) int_0^{2pi} sum_i max(log|y_i(e^{i theta})|, 0) dtheta,
+    m(P) = (1/pi) int_0^pi asinh(sqrt(K / 4|A|^2)) dtheta over K > 0,
 
-with the branch-label-free integrand (no choice of "the large root" is
-ever needed).  Quadrature panels are split at torus zeros of A, at
-angles where a root crosses the unit circle, and at discriminant
-collisions, all taken from the exact unit-circle roots of polynomials
-in x (A, B^2 - 4AC, and the resultant of P with its reciprocal), once
-per polynomial for both methods.  Each panel is a row of one batched
-tanh-sinh call; its first integrand call covers refinement levels 0-3 of
-every panel, and each later call one further level.  The total tolerance
-is at least TOL_FLOOR, where the rule's error estimates reach rounding
-noise.  The integrand evaluates A, B, C on all theta nodes of a
-call by one Horner pass and takes sum_i log+|y_i| from the moduli of
-the quadratic formula, without forming the roots.  A slower direct
-two-dimensional torus quadrature cross-validates the result.  Its
-integrand is log|P| sampled directly; the y-roots only place the ends
-of its inner phi panels, and its outer rule uses the same theta panels.
-Each outer integrand call is one array of theta nodes (levels 0-3, then
-one level at a time), whose inner phi integrals run side by side as rows
-of one batched tanh-sinh call.
+K = |B|^2 - 4|A|^2.  K and |A|^2 are polynomials in c whose factors of
+degree <= 2 the family record gives in closed form (``Family.c_factors``).
+The integrand takes them factor by factor in real arithmetic, with
+1 +- c = 2 cos^2(theta/2), 2 sin^2(theta/2).  Its kinks are their roots
+in (-1, 1), each by the quadratic formula in its distance from the nearer
+end (``split_angles``): no eigenvalue problem, no tolerance band.
+Jensen's panels also end at the vertex of each quadratic factor with
+complex roots, and a panel where K <= 0 is skipped.  Each panel is a row
+of one batched tanh-sinh call, whose first integrand call covers levels
+0-3; the total tolerance is at least TOL_FLOOR, where the error estimates
+reach rounding noise.  A direct two-dimensional torus quadrature of
+log|P| cross-validates the result: the y-roots only place the ends of its
+inner phi panels, its outer rule uses the panels of ``split_angles``, and
+each outer call of theta nodes runs their phi integrals as the rows of
+one batched tanh-sinh call.
 """
 
 from __future__ import annotations
@@ -46,8 +45,8 @@ _EPS = np.finfo(float).eps
 # The smallest total tolerance mahler_quadratic_y accepts.  Its per-panel
 # tanh-sinh error estimates level off near 1e-14, the rounding noise of the
 # integrand: on the 644 parameters of a 0.25-step grid over [-20, 20] for
-# all four families none stalls at tol = 1e-13, and 44 stall at 3e-14
-# (P -6, S 4, S 10.5, Q 8.25, R 6, ...).
+# all four families none stalls at tol = 1e-13, and 6 stall at 3e-14
+# (Q -8.25, Q 8.25, R -14.75, R -14, R -11.5, R -5.75).
 TOL_FLOOR = 1e-13
 
 
@@ -63,34 +62,24 @@ class FamilySpec:
 
 
 class BivariatePoly:
-    """sum_j y^j * (row_j polynomial in x), y-degree <= 2.
+    """The polynomial of a ``FamilySpec``, sum_j y^j * (row_j polynomial in x), quadratic in y.
 
-    rows[j] lists ascending-power x coefficients of the y^j coefficient;
-    ``matrix[k, j]`` is the coefficient of x^k y^j, with three columns
-    whatever the y-degree.
+    ``matrix[k, j]`` is the coefficient of x^k y^j, and ``c_factors`` the
+    family's ``c_factors`` at alpha; OverflowError where they bound K by a
+    number that is not finite.
     """
 
-    def __init__(self, rows):
-        rows = [list(map(float, r)) for r in rows]
-        while rows and not any(rows[-1]):
-            rows.pop()
-        if not rows or not any(any(r) for r in rows):
-            raise DegenerateInputError("zero polynomial")
-        if len(rows) > 3:
-            raise DegenerateInputError("y-degree must be <= 2")
-        self.rows = rows
+    def __init__(self, spec: FamilySpec):
+        self.spec = spec
+        rows = FAMILIES[spec.family].rows(spec.alpha)
         self.matrix = np.zeros((max(map(len, rows)), 3))
         for j, r in enumerate(rows):
             self.matrix[:len(r), j] = r
-
-    @property
-    def y_degree(self) -> int:
-        return len(self.rows) - 1
-
-    @functools.cached_property
-    def leading_roots(self) -> np.ndarray:
-        """Roots in x of P*(x), the top y-power row; found once for m(P*) and split_angles."""
-        return _roots(self.rows[-1])
+        k, a2 = FAMILIES[spec.family].c_factors(spec.alpha)
+        # |f| <= |f(-1)| + |f(1)| + |a| on [-1, 1], so this bounds K there
+        if not math.isfinite(math.prod(sum(map(abs, f)) for f in k)):
+            raise OverflowError("a parameter overflows double precision")
+        self.c_factors = k, a2
 
     @functools.cached_property
     def panels(self) -> list:
@@ -98,7 +87,7 @@ class BivariatePoly:
         return split_angles(self)
 
     def coeffs_at(self, x):
-        """(A, B, C) with P = A y^2 + B y + C at x, a number or an array (missing rows are 0)."""
+        """(A, B, C) with P = A y^2 + B y + C at x, a number or an array."""
         x = np.asarray(x, dtype=complex)
         flat = x.reshape(-1)
         acc = np.zeros((3, flat.size), dtype=complex)
@@ -114,125 +103,104 @@ class BivariatePoly:
 
 
 def family_poly(spec: FamilySpec) -> BivariatePoly:
-    return BivariatePoly(FAMILIES[spec.family].rows(spec.alpha))
-
-
-def jensen_univariate(coeffs) -> float:
-    """m(p) = log|lead| + sum log max(1, |root|); coeffs descending."""
-    c = np.trim_zeros(np.asarray(coeffs, dtype=complex), "f")
-    if c.size == 0:
-        raise DegenerateInputError("zero polynomial")
-    return _jensen(c[0], np.roots(c))
-
-
-def _jensen(lead, roots) -> float:
-    """log|lead| + sum log max(1, |root|), the measure of lead * prod(x - root)."""
-    return math.log(abs(lead)) + sum(math.log(abs(r)) for r in roots if abs(r) > 1.0)
-
-
-def _roots(coeffs) -> np.ndarray:
-    """``np.roots`` of these ascending coefficients, from its companion matrix directly.
-
-    A coefficient that is not finite (B^2 - 4AC of a huge parameter) raises OverflowError.
-    """
-    c = np.asarray(coeffs, dtype=float)
-    if not np.isfinite(c).all():
-        raise OverflowError("a polynomial coefficient overflows double precision")
-    nonzero = c.nonzero()[0]
-    if not nonzero.size:
-        return np.array([])
-    zeros, p = nonzero[0], c[nonzero[0]:nonzero[-1] + 1][::-1]
-    if p.size > 2:
-        companion = np.eye(p.size - 1, k=-1)
-        companion[0] = -p[1:] / p[0]
-        roots = np.linalg.eigvals(companion)
-    else:  # no root, or -c0/c1, which is what the 1 x 1 eigenvalue problem gives
-        roots = -p[1:] / p[0]
-    return np.concatenate([roots, np.zeros(zeros, roots.dtype)])
+    return BivariatePoly(spec)
 
 
 # ---------------------------------------------------------------------------
-# Jensen reduction on |x| = 1
+# Jensen reduction in c = cos theta
 # ---------------------------------------------------------------------------
 
 
-# np.roots resolves a double root only to about sqrt(eps) ~ 1e-8, so a root
-# this close to |x| = 1 counts as on it, and kinks this close together count
-# as one; a boundary next to a near-kink is harmless.
-ON_CIRCLE = 1e-6
-# A discriminant root r just off the circle leaves a near-kink in theta about
-# ||r| - 1| wide at arg r (P at alpha = -1.000001: 1.2e-3 off, and tanh-sinh
-# stalls across it), so such a root also bounds a panel.
-NEAR_CIRCLE = 0.05
+def _angle(u: float, v: float) -> float:
+    """arccos c from u = (1+c)/2, v = (1-c)/2 (each exact to rounding); half-angles near c = -+1."""
+    if u < 0.25:
+        return 2.0 * math.acos(math.sqrt(u))
+    if v < 0.25:
+        return 2.0 * math.asin(math.sqrt(v))
+    return math.acos(u - v)
 
 
-def _unit_circle_angles(roots, band=ON_CIRCLE):
-    """Angles in (0, pi] of the ``roots`` within ``band`` of |x| = 1."""
-    theta = np.angle(roots)
-    return theta[(np.abs(np.abs(roots) - 1.0) < band) & (theta > 0.0)].tolist()
+def _real_roots(a: float, b: float, c: float) -> list:
+    """Both real roots of a w^2 + b w + c (a != 0), ascending, neither a cancelling difference."""
+    q = -0.5 * (b + math.copysign(math.sqrt(max(b * b - 4.0 * a * c, 0.0)), b))
+    return sorted((q / a, c / q)) if q else [0.0, 0.0]
 
 
-def _toric_resultant(p: BivariatePoly):
-    """y-resultant of P and x^d y^n P(1/x, 1/y), ascending in x.
+def _factor_angles(p: BivariatePoly):
+    """(kinks, vertices): angles in (0, pi) from the factors ``p.c_factors``.
 
-    For real coefficients its unit-circle roots contain every x on |x| = 1
-    where a root y of P crosses |y| = 1.  For a self-inversive P (every family
-    here) g = +-f below: the resultant vanishes identically and is left unformed, [].
+    In u = (1+c)/2 a factor is f(-1) + (f(1) - f(-1) - 4a) u + 4a u^2, in
+    v = (1-c)/2 the same with f(-1) and f(1) swapped, so a root near c = -1
+    is a small root in u and one near c = 1 a small root in v, each exact to
+    rounding.  The kinks are the angles of the real roots in (-1, 1); the
+    vertices those of the vertex -b/2a in (-1, 1) of each quadratic factor
+    with complex roots, where the integrand bends sharply if they lie close.
     """
-    f = p.matrix.T[:p.y_degree + 1]
-    g = f[::-1, ::-1]
-    if p.y_degree == 0 or np.array_equal(g, f) or np.array_equal(g, -f):
-        return []
-
-    def det(i, j):  # f_i g_j - g_i f_j
-        return np.convolve(f[i], g[j]) - np.convolve(g[i], f[j])
-
-    if p.y_degree == 1:
-        return det(1, 0)
-    return np.convolve(det(2, 0), det(2, 0)) - np.convolve(det(2, 1), det(1, 0))
+    kinks, vertices = [], []
+    for lo, hi, a in sum(p.c_factors, ()):
+        if not a:
+            if lo < 0.0 < hi or hi < 0.0 < lo:
+                kinks.append(_angle(lo / (lo - hi), hi / (hi - lo)))
+            continue
+        b_u, b_v = hi - lo - 4.0 * a, lo - hi - 4.0 * a
+        if b_u * b_u < 16.0 * a * lo:  # complex roots
+            u, v = -b_u / (8.0 * a), -b_v / (8.0 * a)
+            vertices += [_angle(u, v)] if u > 0.0 and v > 0.0 else []
+            continue
+        roots = zip(_real_roots(4.0 * a, b_u, lo), _real_roots(4.0 * a, b_v, hi)[::-1])
+        kinks += [_angle(u, v) for u, v in roots if u > 0.0 and v > 0.0]
+    return kinks, vertices
 
 
 def split_angles(p: BivariatePoly):
     """Sorted panel boundaries on [0, pi]: 0, pi and every kink in theta.
 
-    The kinks are the unit-circle roots of the leading coefficient A (a
-    root y goes to infinity), of the discriminant B^2 - 4AC (two roots
-    collide) and of the toric resultant (a root crosses |y| = 1).  The
-    arguments of discriminant roots within NEAR_CIRCLE of the circle are
-    boundaries too.
+    The kinks are the angles of the roots in (-1, 1) of the factors of
+    K = |B|^2 - 4|A|^2 (a root y crosses |y| = 1 or two roots collide) and
+    of |A|^2 (a root y goes to infinity), in closed form (``_factor_angles``).
     """
-    kinks = _unit_circle_angles(p.leading_roots) + _unit_circle_angles(_roots(_toric_resultant(p)))
-    if p.y_degree == 2:
-        c, b, a = p.matrix.T
-        kinks += _unit_circle_angles(_roots(np.convolve(b, b) - 4.0 * np.convolve(a, c)),
-                                     NEAR_CIRCLE)
-    pts = [0.0]
-    for t in sorted(kinks):
-        if t - pts[-1] > ON_CIRCLE and t < math.pi - ON_CIRCLE:
-            pts.append(t)
-    return pts + [math.pi]
+    return sorted({0.0, math.pi, *_factor_angles(p)[0]})
+
+
+def _product(factors, u, v, uv):
+    """prod over ``factors`` (f(-1), f(1), a) of f(-1) v + f(1) u - 4a uv, elementwise."""
+    out = np.ones_like(u)
+    for lo, hi, a in factors:
+        out *= lo * v + hi * u - 4.0 * a * uv
+    return out
 
 
 def mahler_quadratic_y(p: BivariatePoly, tol: Tolerance = Tolerance(absolute=1e-10)) -> float:
-    """Mahler measure by Jensen reduction in y (y-degree 1 or 2 required)."""
+    """Mahler measure by Jensen reduction in y, (1/pi) int_0^pi arccosh+(|B| / 2|A|) dtheta.
+
+    The integrand is asinh(sqrt(K / 4|A|^2)) where K > 0, in real
+    arithmetic from the factors ``p.c_factors``, with 1 + c = 2 cos^2(theta/2)
+    and 1 - c = 2 sin^2(theta/2).  Panels end at ``p.panels`` and at the
+    vertices of ``_factor_angles``; a panel where K <= 0 at the midpoint
+    adds exactly 0 and is not integrated.  m(A) = 0 for every family.
+    """
     if not tol.absolute >= TOL_FLOOR:  # NaN included
         raise DegenerateInputError(f"tol={tol.absolute:g} is below the floor {TOL_FLOOR:g}")
-    if p.y_degree == 0:
-        return jensen_univariate(list(reversed(p.rows[0])))
-    base = _jensen(next(c for c in reversed(p.rows[-1]) if c), p.leading_roots)
-    panels = p.panels
-    per_panel = Tolerance(absolute=max(tol.absolute / max(len(panels), 1), 1e-14))
+    k_factors, a2_factors = p.c_factors
 
-    def positive_log_sum(theta, row):
-        a, b, c = p.coeffs_at(_cis(theta))
-        if p.y_degree == 1:
-            return np.log(np.maximum(np.abs(c / b), 1.0))
-        return _log_plus_sum(a, b, c)
+    def k_and_a2(theta):
+        cos_half, sin_half = np.cos(0.5 * theta), np.sin(0.5 * theta)
+        u, v = cos_half * cos_half, sin_half * sin_half
+        uv = u * v
+        return _product(k_factors, u, v, uv), _product(a2_factors, u, v, uv)
 
-    ends = [[(lo, hi)] for lo, hi in zip(panels[:-1], panels[1:])]
-    total = sum(integrate_panel_rows(positive_log_sum, ends, per_panel).value.tolist())
+    def arccosh_plus(theta, row):
+        k, a2 = k_and_a2(theta)
+        # the root of each side apart: K / |A|^2 overflows near a zero of A at a large alpha
+        return np.arcsinh(np.sqrt(np.maximum(k, 0.0)) / (2.0 * np.sqrt(a2)))
+
+    bounds = np.array(sorted({*p.panels, *_factor_angles(p)[1]}))
+    lo, hi = bounds[:-1], bounds[1:]
+    positive = k_and_a2(0.5 * (lo + hi))[0] > 0.0
+    ends = np.stack([lo[positive], hi[positive]], axis=-1)[:, None]
+    per_panel = Tolerance(absolute=max(tol.absolute / max(len(ends), 1), 1e-14))
     # real coefficients: the [pi, 2pi] half mirrors [0, pi]
-    return base + total / math.pi
+    return sum(integrate_panel_rows(arccosh_plus, ends, per_panel).value.tolist()) / math.pi
 
 
 def _cis(t: np.ndarray) -> np.ndarray:
@@ -241,30 +209,6 @@ def _cis(t: np.ndarray) -> np.ndarray:
     np.cos(t, out=z.real)
     np.sin(t + 0.0, out=z.imag)  # 1j * -0.0 has imaginary part +0.0
     return z
-
-
-def _log_plus_sum(a, b, c) -> np.ndarray:
-    """log max(|y_1|, 1) + log max(|y_2|, 1) over the roots of a y^2 + b y + c, elementwise.
-
-    No root is formed: with s = max|-b +- sqrt(b^2 - 4ac)| the larger root
-    has |y_1| = s / 2|a|, and the other |y_2| = |c / (a y_1)| = 2|c| / s.
-    """
-    abs_a = np.abs(a)
-    if not abs_a.all():
-        raise DegenerateInputError("leading coefficient is zero")
-    d = np.sqrt(b * b - 4 * a * c)
-    half_s = 0.5 * np.maximum(np.abs(b - d), np.abs(b + d))
-    with np.errstate(divide="ignore", invalid="ignore"):  # log 0 and 0/0 where c == 0
-        return np.fmax(np.log(half_s / abs_a), 0.0) + np.fmax(np.log(np.abs(c) / half_s), 0.0)
-
-
-def _root_rows(p: BivariatePoly, a, b, c) -> np.ndarray:
-    """The y-roots of P at each node, one row per node; (a, b, c) as from ``coeffs_at``."""
-    if p.y_degree == 2:
-        return np.stack(solve_quadratic_stable_array(a, b, c), axis=-1)
-    if p.y_degree == 1:
-        return (-c / b)[:, None]
-    return np.ones((len(c), 1))  # no root: one panel from phi = 0
 
 
 def _phi_panel_rows(roots: np.ndarray) -> np.ndarray:
@@ -310,7 +254,8 @@ def mahler_torus2(p: BivariatePoly, tol: Tolerance = Tolerance(absolute=1e-5)) -
             out = np.abs(v)
             return np.log(np.maximum(out, noise.real, out=out), out=out)
 
-        rows = integrate_panel_rows(log_abs_p, _phi_panel_rows(_root_rows(p, a, b, c)), inner_tol)
+        roots = np.stack(solve_quadratic_stable_array(a, b, c), axis=-1)
+        rows = integrate_panel_rows(log_abs_p, _phi_panel_rows(roots), inner_tol)
         return rows.value / TWO_PI
 
     # by Jensen's formula the inner average is log|A| + sum log+|y_i|, so the
@@ -321,64 +266,3 @@ def mahler_torus2(p: BivariatePoly, tol: Tolerance = Tolerance(absolute=1e-5)) -
     for lo, hi in zip(panels[:-1], panels[1:]):
         total += integrate_adaptive(outer, lo, hi, per_panel).value
     return total / math.pi
-
-
-# ---------------------------------------------------------------------------
-# path integrals of eta(x, y) = log|x| d arg y - log|y| d arg x
-# ---------------------------------------------------------------------------
-
-
-def eta_path_integral(x_of_t, y_of_t, partition,
-                      tol: Tolerance = Tolerance(absolute=1e-9)) -> float:
-    """Numeric line integral of eta along t -> (x(t), y(t)).
-
-    ``partition`` is the increasing list of parameter breakpoints; x and y
-    must be nonvanishing on every closed subinterval.  ``x_of_t`` and
-    ``y_of_t`` map an array of t to an array of values.
-    """
-    if len(partition) < 2 or not all(lo < hi for lo, hi in zip(partition, partition[1:])):
-        raise DegenerateInputError(f"need at least two increasing breakpoints, got {partition!r}")
-    return _eta_rows(x_of_t, y_of_t, np.stack([partition[:-1], partition[1:]], axis=-1), tol)
-
-
-def _eta_rows(x_of_t, y_of_t, ends: np.ndarray, tol: Tolerance) -> float:
-    """Sum of the eta integrals over the intervals ``ends[i] = (lo, hi)``.
-
-    Each interval is one row of one ``integrate_panel_rows`` call.  The
-    derivatives are central differences with a step of 1e-7 of the
-    interval's width (at least 1e-12).
-    """
-    step = np.maximum(1e-7 * (ends[:, 1] - ends[:, 0]), 1e-12)
-
-    def integrand(t, row):
-        x, y = x_of_t(t), y_of_t(t)
-        zero = (x == 0) | (y == 0)
-        if zero.any():
-            raise DegenerateInputError(f"path hits a zero of x or y at t={t[zero][0]}")
-        h = step[row]
-        dx = (x_of_t(t + h) - x_of_t(t - h)) / (2.0 * h)
-        dy = (y_of_t(t + h) - y_of_t(t - h)) / (2.0 * h)
-        return np.log(np.abs(x)) * (dy / y).imag - np.log(np.abs(y)) * (dx / x).imag
-
-    return sum(integrate_panel_rows(integrand, ends[:, None], tol).value.tolist())
-
-
-def jensen_path_eta(spec: FamilySpec, tol: Tolerance = Tolerance(absolute=1e-9)) -> float:
-    """int eta over the family's Jensen path {|x|=1, |y| >= 1}.
-
-    Equals -2 pi (m(P) - m(P*)) by Jensen's formula; both torus halves
-    are covered via the conjugation symmetry of real coefficients.  The
-    path follows the larger y-root over the panels of ``split_angles``
-    where it lies outside the unit circle.
-    """
-    p = family_poly(spec)
-
-    def y_of(theta):
-        roots = _root_rows(p, *p.coeffs_at(_cis(theta)))
-        return roots[np.arange(len(roots)), np.abs(roots).argmax(axis=1)]
-
-    panels = np.array(p.panels)
-    ends = np.stack([panels[:-1], panels[1:]], axis=-1)
-    on_path = np.abs(y_of(0.5 * (ends[:, 0] + ends[:, 1]))) >= 1.0 + 1e-13
-    # the conjugate half of the torus contributes equally
-    return 2.0 * _eta_rows(_cis, y_of, ends[on_path], tol)

@@ -34,7 +34,8 @@ NO_CACHED_TABLE = (
     "sys.exit(f'built at import: {full}' if full else 0)"
 )
 INVALID = ("verify bz1 --tol nan", "regulator --alpha 3 --tol -1", "regulator --alpha nan")
-OVERFLOWING = ("regulator --alpha 1e60", "mahler --family P --alpha 1e200")
+OVERFLOWING = ("regulator --alpha 1e60", "mahler --family P --alpha 1e200",
+               "mahler --family R --alpha 1e160")
 
 
 def failures(bin_dir: Path):

@@ -223,9 +223,12 @@ class TestMain:
         ["--family", "S", "--alpha", "1e160"],
         ["--family", "Q", "--alpha", "1e155"],
         ["--family", "R", "--alpha", "1e155"],
+        ["--family", "Q", "--alpha", "1e160"],
+        ["--family", "R", "--alpha", "1e160"],
+        ["--family", "S", "--alpha", "-1e160"],
     ])
     def test_mahler_alpha_that_overflows_exits_two(self, argv, capsys):
-        # B^2 - 4AC is not finite, so no root of it can be found
+        # K = |B|^2 - 4|A|^2 on |x| = 1 is not finite, so neither are its factors or their bound
         assert main(["mahler", *argv, "--json"]) == 2
         out = capsys.readouterr()
         assert out.out == ""

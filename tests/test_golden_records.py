@@ -38,11 +38,11 @@ def test_a_moved_value_a_verdict_and_a_missing_record_are_reported():
 
 
 def test_the_cli_contract_reports_every_check_a_broken_console_script_fails(tmp_path):
-    # a console script that crashes: every campaign, every golden command, the five
+    # a console script that crashes: every campaign, every golden command, the six
     # exit-2 cases and the scientific --alpha each give one failure line
     (tmp_path / "python").symlink_to(sys.executable)
     regulab = tmp_path / "regulab"
     regulab.write_text("#!/bin/sh\necho 'Traceback (most recent call last):' >&2\nexit 1\n")
     regulab.chmod(0o755)
     found = list(cli_contract.failures(tmp_path))
-    assert len(found) == len(CAMPAIGNS) + len(golden(COMMANDS)) + 5 + 1, found
+    assert len(found) == len(CAMPAIGNS) + len(golden(COMMANDS)) + 6 + 1, found

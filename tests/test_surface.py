@@ -34,9 +34,6 @@ ALLOWED_UNREACHED = {
     # the table's period entry points, called by bench/workloads.py and traced by name
     "periods.verify_period_identity": "traced by the bench",
     "periods.change_of_variable_check": "traced by the bench",
-    # the measure = eta route (ROADMAP item 11)
-    "mahler.eta_path_integral": "the eta route",
-    "mahler.jensen_path_eta": "the eta route",
 }
 
 # members of reached classes that no reached code reads, each kept for a stated reason

@@ -96,6 +96,9 @@ class Report:
         return "\n".join(lines)
 
 
+MAX_GRID_POINTS = 10**6  # a bz1 grid of this size already takes about 10 minutes
+
+
 def parse_grid(text: str) -> list:
     try:
         a, b, step = (float(t) for t in text.split(":"))
@@ -105,8 +108,11 @@ def parse_grid(text: str) -> list:
         raise DegenerateInputError(f"bad grid {text!r}, a, b and step must be finite")
     if step <= 0 or b < a:
         raise DegenerateInputError(f"bad grid {text!r}")
-    n = int(round((b - a) / step))
-    return [round(a + k * step, 12) for k in range(n + 1) if a + k * step <= b + 1e-12]
+    n = (b - a) / step  # inf where b - a overflows
+    if n + 1 > MAX_GRID_POINTS:  # checked before the list is built
+        raise DegenerateInputError(
+            f"bad grid {text!r}: {n + 1:.0f} points, more than {MAX_GRID_POINTS}")
+    return [round(a + k * step, 12) for k in range(round(n) + 1) if a + k * step <= b + 1e-12]
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +259,7 @@ def _join_values(argv: list) -> list:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(_join_values(sys.argv[1:] if argv is None else argv))
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         if args.tol is not None and not 0 < args.tol < math.inf:  # false for NaN too
             raise DegenerateInputError(f"--tol must be finite and > 0, got {args.tol}")
@@ -267,7 +273,7 @@ def main(argv=None) -> int:
     except NoConvergenceError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
-    report.seconds = round(time.time() - t0, 3)
+    report.seconds = round(time.perf_counter() - t0, 3)
     try:
         if args.json:
             print(report.to_json())

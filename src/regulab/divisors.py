@@ -20,9 +20,9 @@ claimed divisor runs here, and the tests tie each line to its equation.
 Each chain of ``CHAINS`` is a table of rows (name, lhs, rhs, modulo_self_inverse)
 built from the catalogs when replayed; a step holds when its ``left_over`` is empty.
 
-Numeric embeddings (coordinates, elliptic logarithms, Tate-curve
-points) are attached separately and only when a dilogarithm evaluation
-needs them.
+Numeric embeddings (generator coordinates, elliptic logarithms,
+Tate-curve points) are attached separately and only when a dilogarithm
+evaluation needs them.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 from . import elliptic, families
 from .dilogarithm import elliptic_dilog_divisor
-from .elliptic import CurvePoint, WeierstrassCurve
+from .elliptic import WeierstrassCurve
 from .numerics import DegenerateInputError
 
 
@@ -387,10 +387,6 @@ class DerivationStep:
 class DerivationReport:
     steps: list
 
-    @property
-    def passed(self) -> bool:
-        return all(s.passed for s in self.steps)
-
 
 def _torsion_class(family: str, k: int) -> FormalDivisor:
     """k(P) + k(2P), where both ends of the S chain land."""
@@ -466,18 +462,6 @@ class FamilyEmbedding:
             name: elliptic.elliptic_log(self.curve, self.lattice, pt)
             for name, pt in self.generator_points.items()
         }
-
-    @property
-    def group(self) -> PointGroup:
-        return GROUPS[self.family]
-
-    def coordinates(self, p: SymbolicPoint) -> CurvePoint:
-        acc = elliptic.O
-        for c, name in zip(p.coeffs, p.group.generators):
-            acc = elliptic.group_op(
-                self.curve, acc, elliptic.multiply(self.curve, c, self.generator_points[name])
-            )
-        return acc
 
     def log(self, p: SymbolicPoint) -> complex:
         return sum(

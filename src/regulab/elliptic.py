@@ -1,8 +1,6 @@
-"""Arithmetic on long-Weierstrass curves and their uniformization data.
+"""Long-Weierstrass curves and their uniformization data.
 
-The chord-tangent group law is implemented generically, so it is exact on
-Fraction coordinates and works unchanged on float/complex ones.  Period
-lattices come from Carlson symmetric integrals on the shifted cubic
+Period lattices come from Carlson symmetric integrals on the shifted cubic
 (2y+a1*x+a3)^2 = 4x^3+b2*x^2+2*b4*x+b6, and so does the elliptic
 logarithm: the Abel map u = int dx/(2y+a1*x+a3) from infinity to any
 finite point, real or complex, is one R_F along a ray to infinity.  So is
@@ -15,7 +13,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -57,14 +54,10 @@ class WeierstrassCurve:
         return y * y + self.a1 * x * y + self.a3 * y - self.rhs(x)
 
     def contains(self, p: "CurvePoint", tol: float = 1e-10) -> bool:
-        """Exact on exact coordinates.  Otherwise the residual must be within tol
-        of 1 + the equation's largest term at the point, the size of its rounding
-        error; the 1 covers coordinates formed as differences of terms of order 1."""
-        if p.infinity:
-            return True
+        """The residual must be within tol of 1 + the equation's largest term at the
+        point, the size of its rounding error; the 1 covers coordinates formed as
+        differences of terms of order 1."""
         r = self.residual(p.x, p.y)
-        if isinstance(r, Fraction) or isinstance(r, int):
-            return r == 0
         x, y = abs(complex(p.x)), abs(complex(p.y))
         scale = 1.0 + max(y * y, abs(self.a1) * x * y, abs(self.a3) * y, x**3,
                           abs(self.a2) * x * x, abs(self.a4) * x, abs(self.a6))
@@ -73,70 +66,10 @@ class WeierstrassCurve:
 
 @dataclass(frozen=True)
 class CurvePoint:
+    """An affine point (x, y)."""
+
     x: object = 0
     y: object = 0
-    infinity: bool = False
-
-    @classmethod
-    def at_infinity(cls) -> "CurvePoint":
-        return cls(0, 0, True)
-
-    def __eq__(self, other):
-        if not isinstance(other, CurvePoint):
-            return NotImplemented
-        if self.infinity or other.infinity:
-            return self.infinity == other.infinity
-        return self.x == other.x and self.y == other.y
-
-    def __hash__(self):
-        if self.infinity:
-            return hash(("inf",))
-        return hash((self.x, self.y))
-
-
-O = CurvePoint.at_infinity()
-
-
-def negate(c: WeierstrassCurve, p: CurvePoint) -> CurvePoint:
-    if p.infinity:
-        return p
-    return CurvePoint(p.x, -p.y - c.a1 * p.x - c.a3)
-
-
-def group_op(c: WeierstrassCurve, p: CurvePoint, q: CurvePoint) -> CurvePoint:
-    """Chord-tangent addition on the long model; exact on exact inputs."""
-    if not (c.contains(p) and c.contains(q)):
-        raise DegenerateInputError("input point not on curve")
-    if p.infinity:
-        return q
-    if q.infinity:
-        return p
-    a1, a2, a3, a4 = c.a1, c.a2, c.a3, c.a4
-    if p.x == q.x:
-        if p.y != q.y or 2 * p.y + a1 * p.x + a3 == 0:
-            # vertical chord (Q = -P) or 2-torsion tangent
-            return O
-        lam = (3 * p.x * p.x + 2 * a2 * p.x + a4 - a1 * p.y) / (2 * p.y + a1 * p.x + a3)
-    else:
-        lam = (q.y - p.y) / (q.x - p.x)
-    nu = p.y - lam * p.x
-    x3 = lam * lam + a1 * lam - a2 - p.x - q.x
-    y3 = -(lam + a1) * x3 - nu - a3
-    return CurvePoint(x3, y3)
-
-
-def multiply(c: WeierstrassCurve, n: int, p: CurvePoint) -> CurvePoint:
-    if n < 0:
-        return multiply(c, -n, negate(c, p))
-    acc = O
-    add = p
-    while n:
-        if n & 1:
-            acc = group_op(c, acc, add)
-        n >>= 1
-        if n:
-            add = group_op(c, add, add)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -278,14 +211,12 @@ def _log_rf(lat: PeriodLattice, x: complex, w: complex) -> complex:
 
 
 def elliptic_log(c: WeierstrassCurve, lat: PeriodLattice, p: CurvePoint) -> complex:
-    """u in C/Lambda with P = (x(u), y(u)) under the Abel map u = int_oo^P dx/w; u(O) = 0.
+    """u in C/Lambda with P = (x(u), y(u)) under the Abel map u = int_oo^P dx/w.
 
     Here w = 2y + a1*x + a3.  The representative has lattice coordinates
     in [0, 1) (``reduce_mod_lattice``).  P must lie on c; ``family_embedding``
     checks its generators before it takes their logs.
     """
-    if p.infinity:
-        return 0.0 + 0.0j
     x = complex(p.x)
     return _log_rf(lat, x, 2 * complex(p.y) + complex(c.a1) * x + complex(c.a3))
 

@@ -32,7 +32,6 @@ from .numerics import DegenerateInputError, upper_gamma
 
 @dataclass
 class APTable:
-    curve: WeierstrassCurve
     ap: dict
     bad: dict  # prime -> reduction type string
 
@@ -183,7 +182,7 @@ def ap_table(c: WeierstrassCurve, conductor: int, bound: int,
                 )
             bad[p] = kind
         ap[p] = a  # APTable checks it: Hasse at a good prime, in {1, -1, 0} at a bad one
-    return APTable(c, ap, bad)
+    return APTable(ap, bad)
 
 
 def an_coefficients(apt: APTable, bound: int) -> list:

@@ -97,10 +97,6 @@ class BivariatePoly:
         c, b, a = acc.reshape((3,) + x.shape)
         return a, b, c
 
-    def __call__(self, x: complex, y: complex) -> complex:
-        a, b, c = self.coeffs_at(x)
-        return (a * y + b) * y + c
-
 
 def family_poly(spec: FamilySpec) -> BivariatePoly:
     return BivariatePoly(spec)

@@ -83,9 +83,6 @@ class QuadratureRows:
     error_estimate: np.ndarray
     evaluations: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.value)
-
     def __getitem__(self, i: int) -> QuadratureResult:
         return QuadratureResult(self.value[i].item(), self.error_estimate[i].item(),
                                 self.evaluations[i].item())

@@ -8,7 +8,8 @@ BIN is the directory that holds the ``regulab`` console script and the
 - importing ``regulab.cli`` builds no cached table;
 - every ``verify`` campaign and every command of
   ``tests/data/command_records.json`` exits 0 and matches its golden
-  records (``golden_records.py``);
+  records (``golden_records.py``), and so does ``verify table1`` with
+  ``tests/data/ap_overrides.txt``, whose one a_p agrees with the counts;
 - an invalid --tol or --alpha exits 2 and says "must be finite";
 - an --alpha whose arithmetic overflows exits 2 with an ``error:`` line,
   and prints neither a traceback nor numpy's "infs or NaNs";
@@ -25,7 +26,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from golden_records import COMMANDS, differences, golden
+from golden_records import COMMANDS, DATA, differences, golden
 
 NO_CACHED_TABLE = (
     "import sys, regulab.cli; from regulab import numerics, divisors, lfunctions; "
@@ -33,6 +34,7 @@ NO_CACHED_TABLE = (
     "lfunctions._residue_tables, lfunctions._weights) if f.cache_info().currsize]; "
     "sys.exit(f'built at import: {full}' if full else 0)"
 )
+AP_OVERRIDES = DATA / "ap_overrides.txt"
 INVALID = ("verify bz1 --tol nan", "regulator --alpha 3 --tol -1", "regulator --alpha nan")
 OVERFLOWING = ("regulator --alpha 1e60", "mahler --family P --alpha 1e200",
                "mahler --family R --alpha 1e160")
@@ -49,7 +51,8 @@ def failures(bin_dir: Path):
     targets = done.stdout.split()
     if done.returncode != 0 or not targets:
         yield f"reading CAMPAIGNS: {done.stderr.strip()}"
-    golden_runs = [(t, ["verify", t]) for t in targets] + [(c, c.split()) for c in golden(COMMANDS)]
+    golden_runs = ([(t, ["verify", t]) for t in targets] + [(c, c.split()) for c in golden(COMMANDS)]
+                   + [("table1", ["verify", "table1", "--ap-overrides", str(AP_OVERRIDES)])])
     for key, argv in golden_runs:
         done = run("regulab", *argv, "--json")
         if done.returncode != 0:

@@ -33,6 +33,18 @@ class TestParseGrid:
         with pytest.raises(DegenerateInputError):
             parse_grid(bad)
 
+    @pytest.mark.parametrize("grid,count", [
+        ("0:1:1e-12", 1000000000001), ("0:1000000:1", 1000001), ("0:1:1e-6", 1000001)])
+    def test_rejects_more_than_a_million_points_before_building_them(self, grid, count):
+        with pytest.raises(DegenerateInputError, match=f"{count} points, more than 1000000"):
+            parse_grid(grid)
+
+    def test_the_largest_grid_has_max_grid_points(self, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_GRID_POINTS", 4)
+        assert parse_grid("0:1.5:0.5") == [0.0, 0.5, 1.0, 1.5]
+        with pytest.raises(DegenerateInputError, match="5 points, more than 4"):
+            parse_grid("0:2:0.5")
+
 
 class TestReportFormats:
     def _report(self):
@@ -174,6 +186,19 @@ class TestMain:
         overrides.write_text("2 0\n", encoding="utf-8")
         assert main(["verify", "bz1", "--ap-overrides", str(overrides)]) == 2
         assert "--ap-overrides does not apply" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,message", [
+        ("2 5\n", "bad-prime a_2=5 outside {1,-1,0}"),
+        # legal at a good prime, but not a_11: no sign fits the functional equation
+        ("11 1\n", "some coefficient is wrong"),
+    ])
+    def test_ap_overrides_that_contradict_table1_exit_two(self, text, message, tmp_path,
+                                                          capsys):
+        overrides = tmp_path / "ap.txt"
+        overrides.write_text(text, encoding="utf-8")
+        assert main(["verify", "table1", "--ap-overrides", str(overrides)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
     @pytest.mark.parametrize("target,tol", [("table1", 1e-6), ("sec42", 1e-6),
                                             ("diamonds", 0.25)])

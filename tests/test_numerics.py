@@ -174,7 +174,7 @@ class TestPanelRows:
     def test_each_row_equals_its_solo_run(self):
         tol = Tolerance(absolute=1e-10)
         rows = integrate_panel_rows(self._f, self.ENDS, tol)
-        assert len(rows) == len(self.ENDS)
+        assert len(rows.value) == len(self.ENDS)
         for k, (row, ends) in enumerate(zip(rows, self.ENDS)):
             (solo,) = integrate_panel_rows(
                 lambda x, row: self._f(x, row + k), [[e for e in ends if e[0] < e[1]]], tol)

@@ -38,8 +38,6 @@ ALLOWED_UNREACHED = {
 
 # members of reached classes that no reached code reads, each kept for a stated reason
 ALLOWED_UNREAD = {
-    "divisors.FamilyEmbedding.coordinates":
-        "the group-law oracle that ties each catalog line to its equation (test_divisors)",
     "families.Family.to_curve": "test oracle, reserved for ROADMAP items 11 and 23",
     "families.Family.from_curve": "test oracle, reserved for ROADMAP items 11 and 23",
 }
